@@ -1,6 +1,7 @@
 """Compact state interning (collapse compression) for state-space engines.
 
-The explorer and the compiled kernel visit up to millions of global
+The scalar explorer -- the object-graph oracle every fast path is
+differentially tested against -- visits up to millions of global
 configurations.  Keeping every :class:`~repro.kernel.system.Configuration`
 object alive in a visited structure costs hundreds of bytes per state (a
 dataclass, its ``__dict__``, and the object graphs of two channel states
@@ -25,8 +26,14 @@ Why this is both exact and fast:
 * the per-state footprint of the visited set is one 20-byte key plus a
   dense integer id, independent of how large the configuration is.
 
-This module lives in the kernel so that :mod:`repro.kernel.compiled` can
-use it without inverting the layering (kernel depends on nothing);
+It serves the scalar oracle (:func:`repro.verify.explorer.explore`) and
+the state-count metrics (:mod:`repro.analysis.metrics`,
+:mod:`repro.experiments.f2_boundedness`).  The compiled kernel
+(:mod:`repro.kernel.compiled`) does not use it: it interns the same five
+components itself, but reaches successor ids through memoised component
+transitions instead of keying whole configurations.  The module lives in
+the kernel because it depends only on
+:class:`~repro.kernel.system.Configuration`;
 :mod:`repro.verify.intern` re-exports it for existing importers.
 """
 
@@ -87,8 +94,7 @@ class ConfigurationInterner:
         """The dense id of ``config`` plus whether it was newly assigned.
 
         Unlike :meth:`intern` this also resolves already-seen
-        configurations to their existing id, which is what the compiled
-        kernel's successor table needs.
+        configurations to their existing id.
         """
         key = self.key(config)
         existing = self._ids.get(key)

@@ -269,7 +269,7 @@ def simulate_compiled(
     events, successor configurations, and the safety/completion predicates
     through a :class:`repro.kernel.compiled.CompiledSystem`, so each
     distinct (configuration, event) pair pays the protocol and channel
-    transition functions exactly once -- every revisit (retransmission
+    transition functions at most once -- every revisit (retransmission
     loops, ack floods, quiescent periods) is a dictionary lookup.  The
     returned :class:`SimulationResult` is **bit-identical** to the
     object-graph path: the adversary sees the same ``system``, the same

@@ -590,9 +590,7 @@ def _prepare(
     for config in corrupt:  # repr-sorted: representatives are canonical
         class_of.setdefault(key_fn(config), []).append(config)
 
-    source_ids = {
-        config: table._ensure_state(config) for config in corrupt
-    }
+    source_ids = {config: table.state_id(config) for config in corrupt}
     return _StabilizePrep(
         projected=projected,
         table=table,
