@@ -12,11 +12,13 @@ Workers execute every registered cell kind
 (:mod:`repro.fabric.cells`):
 
 * **campaign** cells reuse the resilient runner's supervision
-  (:func:`~repro.resilience.runner.supervised_single_run`): each cell
-  runs in a forked child under a wall-clock budget, heartbeating its
+  (:class:`~repro.resilience.runner.CellSupervisor`): one long-lived
+  supervised child per worker, respawned after a failed cell, runs
+  each cell under a wall-clock budget while the worker heartbeats its
   queue lease, so a crash or hang costs one queue attempt rather than
-  the worker.  They require the queue's bound
-  :class:`~repro.fabric.planner.FabricPlan`.
+  the worker.  The child is forked on the first campaign cell, so
+  sweep-only workers never fork one.  Campaign cells require the
+  queue's bound :class:`~repro.fabric.planner.FabricPlan`.
 * **explore / stabilize** sweep cells are self-describing -- the
   :class:`~repro.fabric.sweep.SweepCell` travels in the ticket (or is
   found in a bound :class:`~repro.fabric.sweep.SweepPlan`), so they run
@@ -103,10 +105,22 @@ class FabricWorker:
 
     def _run(self) -> WorkerStats:
         plan = self.queue.load_plan_optional()
-        campaign = rng = None
+        supervisor = None
         if isinstance(plan, FabricPlan):
-            campaign = plan.spec.build_campaign(cache=None)
-            rng = plan.rng
+            from repro.resilience.runner import CellSupervisor
+
+            supervisor = CellSupervisor(
+                plan.spec.build_campaign(cache=None),
+                plan.rng,
+                run_timeout=self.run_timeout,
+            )
+        try:
+            return self._pull(plan, supervisor)
+        finally:
+            if supervisor is not None:
+                supervisor.close()
+
+    def _pull(self, plan, supervisor) -> WorkerStats:
         tables = CompiledTableCache(cache=self.cache)
         stats = WorkerStats(worker_id=self.worker_id)
         started = time.monotonic()
@@ -134,13 +148,13 @@ class FabricWorker:
                 continue
             idle_since = None
             stats.claimed += 1
-            self._work_one(plan, campaign, rng, tables, ticket, stats)
+            self._work_one(plan, supervisor, tables, ticket, stats)
         stats.compiled = tables.compiled
         stats.compile_reuse = tables.reused
         stats.elapsed_seconds = time.monotonic() - started
         return stats
 
-    def _work_one(self, plan, campaign, rng, tables, ticket, stats) -> None:
+    def _work_one(self, plan, supervisor, tables, ticket, stats) -> None:
         cell_id = ticket["cell_id"]
         try:
             sweep_cell = self._resolve_sweep_cell(plan, ticket)
@@ -153,7 +167,7 @@ class FabricWorker:
         if sweep_cell is not None:
             self._work_sweep(sweep_cell, tables, ticket, stats)
             return
-        if campaign is None:
+        if supervisor is None:
             # Not a sweep ticket and no campaign plan bound: a ticket
             # from some other queue has no business here.
             self.queue.release_failed(
@@ -184,14 +198,8 @@ class FabricWorker:
             return
         key = (cell.input_sequence, cell.seed)
         try:
-            from repro.resilience.runner import supervised_single_run
-
-            metrics = supervised_single_run(
-                campaign,
-                rng,
-                key,
-                run_timeout=self.run_timeout,
-                heartbeat=lambda: self.queue.heartbeat(cell_id),
+            metrics = supervisor.run(
+                key, heartbeat=lambda: self.queue.heartbeat(cell_id)
             )
         except (VerificationError, FabricError) as error:
             stats.failed += 1

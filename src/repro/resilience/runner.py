@@ -35,6 +35,11 @@ Keys are the JSON form of ``[input_sequence, seed]``; values are
 :class:`RunMetrics` fields.  The fingerprint binds a checkpoint to one
 exact grid + RNG identity; resuming with a different campaign is refused
 rather than silently mixed.
+
+:class:`CellSupervisor` applies the same watchdog to callers that run
+one cell at a time (fabric workers, service campaign requests): one
+long-lived supervised child serves cell after cell and is respawned
+after a failed cell.
 """
 
 from __future__ import annotations
@@ -121,8 +126,8 @@ def _key_from_json(text: str) -> RunKey:
     return (tuple(items), seed)
 
 
-def _child_main(conn, campaign: Campaign, rng: DeterministicRNG, key: RunKey):
-    """Run one grid key in a forked child; report through the pipe.
+def _cell_reply(campaign: Campaign, rng: DeterministicRNG, key: RunKey):
+    """Run one grid key and build its pipe reply.
 
     The success payload carries the run's observability delta beside its
     metrics, so spans and registry increments recorded inside the child
@@ -132,11 +137,169 @@ def _child_main(conn, campaign: Campaign, rng: DeterministicRNG, key: RunKey):
     try:
         cut = obs.mark()
         metrics = campaign._single_run(rng, key[0], key[1])
-        conn.send(("ok", (metrics, obs.delta_since(cut))))
+        return ("ok", (metrics, obs.delta_since(cut)))
     except BaseException as error:  # reported, not raised: child exits clean
-        conn.send(("error", f"{type(error).__name__}: {error}"))
+        return ("error", f"{type(error).__name__}: {error}")
+
+
+def _child_main(conn, campaign: Campaign, rng: DeterministicRNG, key: RunKey):
+    """Run one grid key in a forked child; report through the pipe."""
+    try:
+        conn.send(_cell_reply(campaign, rng, key))
     finally:
         conn.close()
+
+
+def _cell_child_main(conn, owner_end, campaign, rng) -> None:
+    """Serve grid keys from a :class:`CellSupervisor` until told to stop.
+
+    ``owner_end`` is this process's inherited copy of the supervisor's
+    end of the pipe.  Closing it first means that once the supervisor's
+    process dies (even by SIGKILL) ``recv`` sees EOF and the child
+    exits instead of lingering.
+    """
+    owner_end.close()
+    try:
+        while True:
+            try:
+                key = conn.recv()
+            except EOFError:
+                return
+            if key is None:  # the supervisor's stop message
+                return
+            reply = _cell_reply(campaign, rng, key)
+            conn.send(reply)
+            if reply[0] != "ok":
+                return  # a failed cell retires its child
+    finally:
+        conn.close()
+
+
+class CellSupervisor:
+    """Grid runs, one at a time, in one long-lived supervised child.
+
+    The child is forked lazily on the first :meth:`run` and then serves
+    cell after cell, exactly as a serial ``Campaign.run`` executes them
+    one after another in one interpreter; since ``_single_run`` is a pure
+    function of ``(rng, key)`` the metrics are bit-identical to an inline
+    run.  The parent enforces the same watchdog a per-run fork would: a
+    ``run_timeout`` wall budget, death detection, and a ``heartbeat``
+    callback roughly every 100ms.
+
+    Any failed cell -- timeout, death, or an error raised inside the
+    run -- retires the child, so the next cell gets a fresh fork and a
+    failure never shares a process with a later cell.  :meth:`close`
+    (or leaving the ``with`` block) stops the child.
+
+    Falls back to plain in-process runs where ``fork`` is unavailable
+    (no timeout enforcement, same bit-identical metrics).
+    """
+
+    def __init__(
+        self,
+        campaign: Campaign,
+        rng: DeterministicRNG,
+        run_timeout: float = 60.0,
+    ) -> None:
+        if run_timeout <= 0:
+            raise VerificationError("run_timeout must be positive")
+        self.campaign = campaign
+        self.rng = rng
+        self.run_timeout = run_timeout
+        self._process = None
+        self._conn = None
+
+    def __enter__(self) -> "CellSupervisor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _spawn(self) -> None:
+        context = multiprocessing.get_context("fork")
+        parent_conn, child_conn = context.Pipe()
+        process = context.Process(
+            target=_cell_child_main,
+            args=(child_conn, parent_conn, self.campaign, self.rng),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        obs.add("resilience.cell_children")
+        self._process, self._conn = process, parent_conn
+
+    def _retire(self) -> Optional[int]:
+        """Kill the child (if still alive) and return its exit code."""
+        process, conn = self._process, self._conn
+        self._process = self._conn = None
+        conn.close()
+        if process.is_alive():
+            process.terminate()
+        process.join()
+        return process.exitcode
+
+    def _died(self, key: RunKey) -> VerificationError:
+        return VerificationError(
+            f"run {key!r} worker died with exit code {self._retire()}"
+        )
+
+    def run(self, key: RunKey, heartbeat=None) -> RunMetrics:
+        """``campaign._single_run(rng, *key)`` under supervision.
+
+        Raises :class:`VerificationError` on timeout, crash, or an error
+        raised inside the run; the caller owns the retry policy.
+        """
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return self.campaign._single_run(self.rng, key[0], key[1])
+        if self._process is None:
+            self._spawn()
+        conn = self._conn
+        started = time.monotonic()
+        try:
+            try:
+                conn.send(key)
+            except OSError:  # the idle child is gone
+                raise self._died(key) from None
+            while not conn.poll(0.1):
+                if heartbeat is not None:
+                    heartbeat()
+                if time.monotonic() - started > self.run_timeout:
+                    self._retire()
+                    raise VerificationError(
+                        f"run {key!r} exceeded {self.run_timeout}s"
+                    )
+                # A child that replied and then exited between the poll
+                # and this check finished its run: take the reply.
+                if not self._process.is_alive() and not conn.poll(0):
+                    raise self._died(key)
+            try:
+                status, payload = conn.recv()
+            except EOFError:
+                # Pipe closed without a report: the child died mid-run.
+                raise self._died(key) from None
+        except BaseException:
+            # Also a raising heartbeat or an interrupt: the child is
+            # mid-run, so it cannot serve the next cell.
+            if self._process is not None:
+                self._retire()
+            raise
+        if status != "ok":
+            self._retire()
+            raise VerificationError(f"run {key!r} failed: {payload}")
+        metrics, delta = payload
+        obs.merge(delta)
+        return metrics
+
+    def close(self) -> None:
+        """Stop the child, if one is running."""
+        if self._process is None:
+            return
+        try:
+            self._conn.send(None)
+        except OSError:
+            pass  # already dead; _retire reaps it
+        self._process.join(timeout=5.0)
+        self._retire()
 
 
 def supervised_single_run(
@@ -148,71 +311,23 @@ def supervised_single_run(
 ) -> RunMetrics:
     """One grid run under the resilient runner's supervision discipline.
 
-    Executes ``campaign._single_run(rng, *key)`` in a forked child with a
-    wall-clock budget, exactly as :class:`ResilientRunner` supervises its
-    attempts -- same :func:`_child_main` entry point, same obs-delta
-    merge -- but for a single cell, which is the unit a fabric worker
-    claims from the queue.  ``heartbeat`` (when given) is called roughly
-    every 100ms while the child runs, so the caller can keep a queue
-    lease fresh without threading.
+    A one-cell :class:`CellSupervisor`: forks one child, runs
+    ``campaign._single_run(rng, *key)`` in it under a ``run_timeout``
+    wall budget, merges the child's obs delta, and stops the child.
+    ``heartbeat`` (when given) is called roughly every 100ms while the
+    child runs, so the caller can keep a queue lease fresh without
+    threading.  Fabric workers and the service's campaign requests hold
+    a :class:`CellSupervisor` instead: one long-lived supervised child
+    per worker, respawned after a failed cell.
 
     Raises :class:`VerificationError` on timeout, crash, or an error
-    raised inside the run; the caller owns the retry policy (the queue's
-    attempt budget, for fabric workers).
+    raised inside the run; the caller owns the retry policy.
 
     Falls back to a plain in-process run where ``fork`` is unavailable
     (no timeout enforcement, same bit-identical metrics).
     """
-    if run_timeout <= 0:
-        raise VerificationError("run_timeout must be positive")
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return campaign._single_run(rng, key[0], key[1])
-    context = multiprocessing.get_context("fork")
-    parent_conn, child_conn = context.Pipe(duplex=False)
-    process = context.Process(
-        target=_child_main,
-        args=(child_conn, campaign, rng, key),
-        daemon=True,
-    )
-    process.start()
-    child_conn.close()
-    started = time.monotonic()
-    try:
-        while True:
-            if parent_conn.poll(0.1):
-                break
-            if heartbeat is not None:
-                heartbeat()
-            if time.monotonic() - started > run_timeout:
-                process.terminate()
-                process.join()
-                raise VerificationError(
-                    f"run {key!r} exceeded {run_timeout}s"
-                )
-            if not process.is_alive():
-                raise VerificationError(
-                    f"run {key!r} worker died with exit code "
-                    f"{process.exitcode}"
-                )
-        try:
-            status, payload = parent_conn.recv()
-        except EOFError:
-            process.join()
-            raise VerificationError(
-                f"run {key!r} worker died with exit code "
-                f"{process.exitcode}"
-            ) from None
-        process.join()
-        if status != "ok":
-            raise VerificationError(f"run {key!r} failed: {payload}")
-        metrics, delta = payload
-        obs.merge(delta)
-        return metrics
-    finally:
-        parent_conn.close()
-        if process.is_alive():
-            process.terminate()
-            process.join()
+    with CellSupervisor(campaign, rng, run_timeout) as supervisor:
+        return supervisor.run(key, heartbeat)
 
 
 @dataclass
@@ -357,7 +472,8 @@ class ResilientRunner:
         ]
         fingerprint = self._fingerprint(rng, keys)
         completed = self._load_checkpoint(fingerprint)
-        completed = {k: v for k, v in completed.items() if k in set(keys)}
+        grid = set(keys)
+        completed = {k: v for k, v in completed.items() if k in grid}
         resumed = len(completed)
         if resumed:
             obs.add("resilience.resumed_runs", resumed)
@@ -506,7 +622,14 @@ class ResilientRunner:
                 still_active: List[_Attempt] = []
                 for item in active:
                     elapsed = time.monotonic() - item.started
-                    if item.conn.poll():
+                    ready = item.conn.poll()
+                    alive = ready or item.process.is_alive()
+                    if not alive:
+                        # A child that replied and then exited between
+                        # the poll and the liveness check finished its
+                        # run: poll once more before declaring it dead.
+                        ready = item.conn.poll()
+                    if ready:
                         try:
                             status, payload = item.conn.recv()
                         except EOFError:
@@ -542,7 +665,7 @@ class ResilientRunner:
                             f"run exceeded {self.run_timeout}s", elapsed,
                             pending, failures, abandoned, retried,
                         )
-                    elif not item.process.is_alive():
+                    elif not alive:
                         exit_code = item.process.exitcode
                         item.conn.close()
                         self._requeue(

@@ -12,9 +12,10 @@ A :class:`ServicePool` marries three existing pieces:
   computations.  The ledger is an audit trail and liveness signal, not
   a correctness dependency -- results live in the content-addressed
   cache, exactly as in the fabric;
-* :func:`~repro.resilience.runner.supervised_single_run` supervises each
-  campaign cell (fork, timeout, crash containment) via the request's own
-  ``execute``.
+* a :class:`~repro.resilience.runner.CellSupervisor` supervises each
+  campaign cell (timeout, crash containment) via the request's own
+  ``execute``: one long-lived supervised child per request, respawned
+  after a failed cell.
 
 Futures are resolved back on the event loop with
 ``loop.call_soon_threadsafe`` -- worker threads never touch asyncio

@@ -539,11 +539,12 @@ class CampaignRequest:
         """Compute the grid's cold cells under supervision and merge.
 
         Cell discipline is the fabric worker's: warm-probe the shared
-        store first, fork each cold cell under
-        :func:`~repro.resilience.runner.supervised_single_run` (calling
-        ``heartbeat`` to keep the job ledger's lease fresh), publish
-        before proceeding.  The merged outcome is published under the
-        plan fingerprint
+        store first, run each cold cell under the request's own
+        :class:`~repro.resilience.runner.CellSupervisor` -- one
+        long-lived supervised child per request, respawned after a
+        failed cell -- calling ``heartbeat`` to keep the job ledger's
+        lease fresh, and publish before proceeding.  The merged outcome
+        is published under the plan fingerprint
         (:data:`repro.fabric.planner.CAMPAIGN_OUTCOME_KIND`) so
         identical future requests warm-probe straight to it.
         """
@@ -554,26 +555,21 @@ class CampaignRequest:
             CAMPAIGN_CELL_KIND,
             CAMPAIGN_OUTCOME_KIND,
         )
-        from repro.resilience.runner import supervised_single_run
+        from repro.resilience.runner import CellSupervisor
 
         plan = self.plan()
-        campaign = plan.spec.build_campaign()
-        rng = plan.rng
         computed = 0
-        warm_cells = 0
-        for cell in plan.cells:
-            if cache.get(CAMPAIGN_CELL_KIND, cell.cell_id) is not None:
-                warm_cells += 1
-                continue
-            metrics = supervised_single_run(
-                campaign,
-                rng,
-                (cell.input_sequence, cell.seed),
-                run_timeout=limits.run_timeout,
-                heartbeat=heartbeat,
-            )
-            cache.put(CAMPAIGN_CELL_KIND, cell.cell_id, metrics)
-            computed += 1
+        with CellSupervisor(
+            plan.spec.build_campaign(), plan.rng, limits.run_timeout
+        ) as supervisor:
+            for cell in plan.cells:
+                if cache.get(CAMPAIGN_CELL_KIND, cell.cell_id) is not None:
+                    continue
+                metrics = supervisor.run(
+                    (cell.input_sequence, cell.seed), heartbeat=heartbeat
+                )
+                cache.put(CAMPAIGN_CELL_KIND, cell.cell_id, metrics)
+                computed += 1
         outcome = merge_outcome(plan, cache)
         exhausted = [
             {"input": list(cell.input_sequence), "seed": cell.seed}

@@ -12,6 +12,7 @@ import multiprocessing
 
 import pytest
 
+from repro import obs
 from repro.analysis.cache import ResultCache
 from repro.cli import main
 from repro.fabric import (
@@ -72,6 +73,25 @@ class TestFabricMatchesSerial:
         result = run_fabric(
             spec, tmp_path / "queue", cache, workers=2, idle_timeout=10.0
         )
+        assert outcome_to_json(result.outcome) == outcome_to_json(serial)
+
+    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+    def test_one_cell_child_per_worker(self, tmp_path):
+        """Each worker serves every cell from one supervised child."""
+        spec = demo_spec()
+        plan = plan_cells(spec)
+        serial = spec.build_campaign().run(plan.rng)
+        with obs.scoped() as (_, registry):
+            result = run_fabric(
+                spec,
+                tmp_path / "queue",
+                ResultCache(tmp_path / "store"),
+                workers=2,
+                idle_timeout=10.0,
+            )
+            children = registry.to_dict()["resilience.cell_children"]
+        assert sum(s.computed for s in result.worker_stats) == len(plan.cells)
+        assert 1 <= children["value"] <= 2
         assert outcome_to_json(result.outcome) == outcome_to_json(serial)
 
     def test_second_run_is_fully_warm(self, tmp_path, serial_reference):

@@ -6,7 +6,9 @@ so a marker created by a doomed child is visible to its retry.
 """
 
 import json
+import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -18,6 +20,7 @@ from repro.kernel.errors import VerificationError
 from repro.kernel.rng import DeterministicRNG
 from repro.protocols.norepeat import norepeat_protocol
 from repro.resilience import CHECKPOINT_SCHEMA, ResilientRunner
+from repro.resilience.runner import CellSupervisor
 
 
 def small_campaign(adversary_factory=None, **overrides):
@@ -298,3 +301,173 @@ class TestSupervisedSingleRun:
                 heartbeat=lambda: beats.append(1),
             )
         assert beats  # the lease stayed fresh while the child hung
+
+
+class _PidRecordingFactory:
+    """Adversary factory that logs the pid of every process it runs in."""
+
+    def __init__(self, log, mode=None, marker=None):
+        self.log = log
+        self.mode = mode
+        self.marker = marker
+
+    def __call__(self, rng):
+        with open(self.log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        if self.mode is not None:
+            return _SabotagedAdversary(self.marker, self.mode)
+        return AgingFairAdversary(
+            RandomAdversary(rng, deliver_weight=3.0), patience=64
+        )
+
+    def pids(self):
+        with open(self.log) as handle:
+            return [int(line) for line in handle]
+
+
+def _process_gone(pid):
+    """True once ``pid`` has exited (a zombie awaiting reaping counts)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    return state == "Z"
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+
+
+@needs_fork
+class TestCellSupervisor:
+    """One long-lived supervised child serves cell after cell."""
+
+    KEYS = [(("a", "b"), 0), (("a", "b"), 1), (("c", "d", "a"), 0),
+            (("c", "d", "a"), 1)]
+
+    def test_cells_share_one_child_and_match_inline(self, tmp_path):
+        factory = _PidRecordingFactory(str(tmp_path / "pids"))
+        campaign = small_campaign(adversary_factory=factory)
+        rng = DeterministicRNG(3, "sup")
+        with CellSupervisor(campaign, rng) as supervisor:
+            results = [supervisor.run(key) for key in self.KEYS]
+        pids = factory.pids()
+        assert len(pids) == 4
+        assert len(set(pids)) == 1
+        assert pids[0] != os.getpid()
+        inline = [campaign._single_run(rng, key[0], key[1]) for key in self.KEYS]
+        assert results == inline
+
+    @pytest.mark.parametrize(
+        "mode, message",
+        [
+            ("crash", "died with exit code 13"),
+            ("hang", "exceeded 0.3s"),
+            ("error", "failed: RuntimeError: injected failure"),
+        ],
+    )
+    def test_failed_cell_retires_its_child(self, tmp_path, mode, message):
+        factory = _PidRecordingFactory(
+            str(tmp_path / "pids"), mode, str(tmp_path / "marker")
+        )
+        campaign = small_campaign(adversary_factory=factory)
+        rng = DeterministicRNG(0)
+        first, second = self.KEYS[0], self.KEYS[2]
+        with CellSupervisor(campaign, rng, run_timeout=0.3) as supervisor:
+            with pytest.raises(VerificationError, match=message):
+                supervisor.run(first)
+            metrics = supervisor.run(second)
+        failed_pid, next_pid = factory.pids()
+        assert failed_pid != next_pid
+        assert metrics == campaign._single_run(rng, second[0], second[1])
+
+    def test_close_leaves_no_live_child(self):
+        supervisor = CellSupervisor(small_campaign(), DeterministicRNG(1))
+        supervisor.run(self.KEYS[0])
+        child = supervisor._process
+        assert child.is_alive()
+        supervisor.close()
+        assert not child.is_alive()
+        assert child.exitcode == 0  # stopped by message, not terminated
+        supervisor.close()  # idempotent
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_killed_owner_leaves_no_orphan(self, tmp_path):
+        factory = _PidRecordingFactory(str(tmp_path / "pids"))
+        campaign = small_campaign(adversary_factory=factory)
+
+        def owner():
+            supervisor = CellSupervisor(campaign, DeterministicRNG(0))
+            supervisor.run(self.KEYS[0])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        process = multiprocessing.get_context("fork").Process(target=owner)
+        process.start()
+        process.join(10.0)
+        assert process.exitcode == -signal.SIGKILL
+        (cell_child,) = factory.pids()
+        deadline = time.monotonic() + 2.0
+        while not _process_gone(cell_child) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        orphaned = not _process_gone(cell_child)
+        if orphaned:
+            os.kill(cell_child, signal.SIGKILL)
+        assert not orphaned
+
+
+@needs_fork
+class TestDeadChildRace:
+    """A reply sent just before the child exits is a result, not a crash.
+
+    The patches force the interleaving: the first ``poll`` waits for the
+    reply but reports nothing, and ``is_alive`` only answers once the
+    child has exited.
+    """
+
+    @pytest.fixture
+    def first_poll_misses(self, monkeypatch):
+        from multiprocessing.connection import Connection
+        from multiprocessing.process import BaseProcess
+
+        poll, is_alive = Connection.poll, BaseProcess.is_alive
+        missed = []
+
+        def late_poll(self, timeout=0.0):
+            if not missed:
+                missed.append(poll(self, 5.0))
+                return False
+            return poll(self, timeout)
+
+        def exited_is_alive(self):
+            self.join(5.0)
+            return is_alive(self)
+
+        monkeypatch.setattr(Connection, "poll", late_poll)
+        monkeypatch.setattr(BaseProcess, "is_alive", exited_is_alive)
+        return missed
+
+    def test_resilient_runner_keeps_the_reply(self, first_poll_misses):
+        campaign = small_campaign(inputs=[("a", "b")], seeds=1)
+        plain = campaign.run(DeterministicRNG(4, "race"))
+        result = ResilientRunner(campaign, backoff=0.01).run(
+            DeterministicRNG(4, "race")
+        )
+        assert first_poll_misses == [True]
+        assert result.run_failures == ()
+        assert result.retried_runs == 0
+        assert result.outcome.metrics == plain.metrics
+
+    def test_supervisor_keeps_the_reply(self, tmp_path, first_poll_misses):
+        # The error reply is the one after which the child exits.
+        campaign = small_campaign(
+            adversary_factory=lambda rng: _SabotagedAdversary(
+                str(tmp_path / "marker"), "error"
+            )
+        )
+        with CellSupervisor(campaign, DeterministicRNG(0)) as supervisor:
+            with pytest.raises(VerificationError, match="injected failure"):
+                supervisor.run((("a", "b"), 0))
+        assert first_poll_misses == [True]
