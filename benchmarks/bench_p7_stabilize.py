@@ -3,22 +3,23 @@
 Analyzes the small lossy-FIFO instance (input ``("a","b")`` over domain
 ``("a","b","c","d")`` -- two letters the input never uses, so the
 input-pinned renaming symmetry has something to collapse) for plain ABP
-and the self-stabilizing ARQ, on both frontier engines, reduced and
-unreduced, and records all of it in the session perf report
+and the self-stabilizing ARQ, reduced and unreduced, on the batched
+multi-source BFS, and records all of it in the session perf report
 (``BENCH_PR10.json``).
 
 Assertions:
 
 * the per-source stabilization **verdicts are bit-identical** across
-  batched/vectorized engines and reduced/unreduced initial sets;
+  reduced/unreduced initial sets;
 * the **reduced initial set is strictly smaller** (reduction ratio > 1):
   the ``BENCH_PR10.json`` headline this PR tracks;
 * ss-ARQ **converges** from every corrupt start with a finite max
   stabilization depth; plain ABP has non-stabilizing corrupt starts --
   the two qualitative facts the whole workload family exists to show.
 
-Record names: ``stabilize:<protocol>-<engine>[-reduced]``, each carrying
-states/s and the stabilization-depth histogram.
+Record names: ``stabilize:<protocol>-batched[-reduced]`` (the names
+earlier artifacts used), each carrying states/s and the
+stabilization-depth histogram.
 """
 
 from __future__ import annotations
@@ -47,36 +48,31 @@ def _build(protocol_name):
 
 
 def _sweep(report, protocol_name):
-    """All engine x reduce combinations for one protocol; returns the
-    unreduced-batched baseline result."""
+    """Unreduced and reduced runs for one protocol; returns the
+    unreduced baseline result."""
     baseline = None
-    for engine in ("batched", "vectorized"):
-        for reduce in (False, True):
-            start = time.perf_counter()
-            result = analyze_stabilization(
-                _build(protocol_name),
-                engine=engine,
-                reduce=reduce,
-                domain=DOMAIN,
+    for reduce in (False, True):
+        start = time.perf_counter()
+        result = analyze_stabilization(
+            _build(protocol_name), reduce=reduce, domain=DOMAIN
+        )
+        wall = time.perf_counter() - start
+        suffix = "-reduced" if reduce else ""
+        report.add(
+            f"stabilize:{protocol_name}-batched{suffix}",
+            wall,
+            states=result.explored_states,
+            states_per_second=result.states_per_second,
+            **result.summary(),
+        )
+        if baseline is None:
+            baseline = result
+        else:
+            assert result.verdicts == baseline.verdicts, (
+                f"{protocol_name} verdicts diverged on reduce={reduce}"
             )
-            wall = time.perf_counter() - start
-            suffix = "-reduced" if reduce else ""
-            report.add(
-                f"stabilize:{protocol_name}-{engine}{suffix}",
-                wall,
-                states=result.explored_states,
-                states_per_second=result.states_per_second,
-                **result.summary(),
-            )
-            if baseline is None:
-                baseline = result
-            else:
-                assert result.verdicts == baseline.verdicts, (
-                    f"{protocol_name} verdicts diverged on "
-                    f"engine={engine} reduce={reduce}"
-                )
-                assert result.depth_histogram == baseline.depth_histogram
-                assert result.corrupt_fingerprint == baseline.corrupt_fingerprint
+            assert result.depth_histogram == baseline.depth_histogram
+            assert result.corrupt_fingerprint == baseline.corrupt_fingerprint
     return baseline
 
 

@@ -75,6 +75,10 @@ CACHE_ENV_VAR = "STP_REPRO_CACHE"
 #: re-running protocol/channel code.
 COMPILED_KIND = "compiled"
 
+#: Explore engines :func:`cached_explore` accepts: the scalar oracle and
+#: the batched frontier engine.
+ENGINES = ("scalar", "batched")
+
 
 def _default_root() -> Path:
     override = os.environ.get(CACHE_ENV_VAR)
@@ -202,9 +206,9 @@ def explore_report_key(
     :func:`cached_explore`'s warm probe and the service coalescer
     (:mod:`repro.service`) key through here, so a request fingerprinted
     by one layer always finds work the other layer started or finished.
-    ``engine`` and ``shards`` are deliberately absent -- unreduced
-    reports are bit-identical across every engine, so they share one
-    address.  Reduced reports count equivalence classes instead of
+    ``engine`` is deliberately absent -- unreduced reports are
+    bit-identical across the scalar and batched engines, so they share
+    one address.  Reduced reports count equivalence classes instead of
     states and therefore get a distinct key.
     """
     base = system_fingerprint(system)
@@ -228,9 +232,7 @@ def stabilize_report_key(
 
     Shared by :func:`cached_stabilize` and the service coalescer, same
     discipline as :func:`explore_report_key`.  The key pins everything
-    the corrupt initial set and its verdicts depend on; ``engine`` and
-    ``shards`` are excluded because multi-source verdicts are
-    bit-identical across engines.
+    the corrupt initial set and its verdicts depend on.
     """
     base = system_fingerprint(system)
     return fingerprint(
@@ -404,7 +406,6 @@ def cached_explore(
     reuse_table: bool = True,
     engine: str = "scalar",
     reduce: bool = False,
-    shards: int = 1,
     table=None,
 ):
     """Exhaustive exploration behind the cache, on any engine.
@@ -419,34 +420,27 @@ def cached_explore(
     Args:
         engine: ``"scalar"`` for
             :func:`~repro.verify.explorer.explore_compiled`, ``"batched"``
-            for :func:`~repro.kernel.frontier.explore_batched`,
-            ``"vectorized"`` for
-            :func:`~repro.kernel.vectorized.explore_vectorized`.
-            Unreduced reports are bit-identical across all three, so they
-            share one report key: a sweep run on any engine warms the
-            cache for the others.
+            for :func:`~repro.kernel.frontier.explore_batched`.
+            Unreduced reports are bit-identical across the two, so they
+            share one report key: a sweep run on either engine warms the
+            cache for the other.
         reduce: quotient symmetric states (batched engine only).  Reduced
             reports count equivalence classes, not states, so the mode is
             folded into the report fingerprint -- reduced and unreduced
             results never alias.
-        shards: frontier shards for the vectorized engine (ignored by the
-            others).  Sharding changes the execution schedule, never the
-            report, so it is *not* part of any fingerprint.
         table: an already-revived :class:`CompiledSystem` for ``system``
             (fabric workers keep one per distinct system in a
             :class:`CompiledTableCache`); skips the store revival probe.
             Ignored when a resumable frontier cut is found, since the
             snapshot embeds its own warm table.
 
-    The unreduced batched and vectorized engines additionally keep a
+    The unreduced batched engine additionally keeps a
     :class:`~repro.kernel.frontier.FrontierSnapshot` per (system,
     ``include_drops``) point -- budget-independent, with its digest
     lineage embedded and verified on load.  A stored cut resumes a larger
     ``max_states`` request from the old frontier instead of re-exploring
     from the initial state, which is what lets campaign sweeps over
-    adjacent budget points reuse each other's work.  Both engines read
-    and write the same snapshot entries: either can resume a cut the
-    other captured.
+    adjacent budget points reuse each other's work.
 
     With ``cache=None`` this is exactly the chosen engine, uncached.
     """
@@ -456,13 +450,9 @@ def cached_explore(
         explore_batched,
         explore_batched_resumable,
     )
-    from repro.kernel.vectorized import (
-        explore_vectorized,
-        explore_vectorized_resumable,
-    )
     from repro.verify.explorer import explore_compiled
 
-    if engine not in ("scalar", "batched", "vectorized"):
+    if engine not in ENGINES:
         raise ValueError(f"unknown explorer engine: {engine!r}")
     if reduce and engine != "batched":
         raise ValueError("reduce=True requires engine='batched'")
@@ -470,13 +460,6 @@ def cached_explore(
         if engine == "scalar":
             return explore_compiled(
                 system, max_states=max_states, include_drops=include_drops
-            )
-        if engine == "vectorized":
-            return explore_vectorized(
-                system,
-                max_states=max_states,
-                include_drops=include_drops,
-                shards=shards,
             )
         return explore_batched(
             system,
@@ -495,7 +478,7 @@ def cached_explore(
     if report is not None:
         return report
 
-    if engine in ("batched", "vectorized") and not reduce:
+    if engine == "batched" and not reduce:
         # Try to resume a stored frontier cut before reviving a table:
         # the snapshot embeds its own (warm) table.
         frontier_key = fingerprint("frontier", base, include_drops)
@@ -513,25 +496,14 @@ def cached_explore(
             table = None  # the snapshot carries its own warm table
         elif table is None and reuse_table:
             table = _revive_table(cache, system, base)
-        if engine == "vectorized":
-            report, snapshot = explore_vectorized_resumable(
-                system,
-                max_states=max_states,
-                include_drops=include_drops,
-                compiled=table,
-                resume_from=resume,
-                fingerprint=base,
-                shards=shards,
-            )
-        else:
-            report, snapshot = explore_batched_resumable(
-                system,
-                max_states=max_states,
-                include_drops=include_drops,
-                compiled=table,
-                resume_from=resume,
-                fingerprint=base,
-            )
+        report, snapshot = explore_batched_resumable(
+            system,
+            max_states=max_states,
+            include_drops=include_drops,
+            compiled=table,
+            resume_from=resume,
+            fingerprint=base,
+        )
         cache.put("explore", report_key, report)
         if snapshot is not None:
             cache.put("frontier", frontier_key, snapshot)
@@ -570,7 +542,6 @@ def cached_stabilize(
     cache: Optional[ResultCache] = None,
     engine: str = "batched",
     reduce: bool = False,
-    shards: int = 1,
     sample: Optional[int] = None,
     seed: int = 0,
     max_states: int = 500_000,
@@ -584,30 +555,29 @@ def cached_stabilize(
     The report key fingerprints everything the corrupt initial set and
     its per-source verdicts depend on: the system, the exploration
     budget, the corruption mode, the channel forge depth, the sampling
-    identity, the reduction mode, and the symmetry domain.  ``engine``
-    and ``shards`` are deliberately *not* part of the key -- multi-source
-    verdicts are bit-identical across engines (property-swept by
-    ``tests/resilience/test_stabilize.py``), so a sweep run on any
-    engine warms the cache for the others; on a hit the stored result is
-    re-stamped with the requested engine/shard labels.  The stored
-    :class:`~repro.resilience.stabilize.StabilizationResult` carries the
-    ``corrupt_fingerprint`` of the set it judged, so report consumers
-    can cross-check which corrupt enumeration a cached verdict sheet
-    belongs to.
+    identity, the reduction mode, and the symmetry domain.  On a hit the
+    stored :class:`~repro.resilience.stabilize.StabilizationResult` is
+    returned verbatim; it carries the ``corrupt_fingerprint`` of the set
+    it judged, so report consumers can cross-check which corrupt
+    enumeration a cached verdict sheet belongs to.
 
     With ``cache=None`` this is exactly
     :func:`~repro.resilience.stabilize.analyze_stabilization`, uncached.
-    """
-    import dataclasses
 
+    ``engine`` selects nothing -- there is one multi-source BFS -- and
+    is checked against :data:`ENGINES` only because the cold
+    benchmark's service oracle (``perfbench/workloads.py``) still passes
+    it; drop it with the next change to the benchmark.
+    """
     from repro.resilience.stabilize import analyze_stabilization
+
+    if engine not in ENGINES:
+        raise ValueError(f"unknown explorer engine: {engine!r}")
 
     def compute():
         return analyze_stabilization(
             system,
-            engine=engine,
             reduce=reduce,
-            shards=shards,
             sample=sample,
             seed=seed,
             max_states=max_states,
@@ -634,8 +604,7 @@ def cached_stabilize(
     if result is None:
         result = compute()
         cache.put("stabilize", key, result)
-        return result
-    return dataclasses.replace(result, engine=engine, shards=shards)
+    return result
 
 
 def _revive_table(cache: ResultCache, system, base: str):

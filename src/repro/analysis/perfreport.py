@@ -494,147 +494,14 @@ def measure_batched_explorer(
     return comparison
 
 
-def measure_vectorized_explorer(
-    report: PerfReport, m: int = 4, rounds: int = 20, shards: int = 0
-) -> Dict[str, object]:
-    """Record the vectorized core's speedup over the *batched* engine.
-
-    Same T2 family workload as :func:`measure_batched_explorer`, but the
-    baseline is now the batched :class:`repro.verify.FrontierFamily`
-    sweep itself -- the vectorized engine's gate (PR 6) is >=3x over the
-    engine PR 5 shipped, not over the scalar path it already beat.  The
-    probe first asserts the vectorized family's reports agree with the
-    scalar engine's in every non-timing field, then times both engines
-    warm over ``rounds`` sweeps.
-
-    A second pass runs the same sweep with ``shards`` frontier shards
-    (default: :func:`repro.analysis.hostinfo.available_cpu_count`) and
-    asserts the reports are bit-identical to the unsharded ones --
-    sharding may only change the schedule, never the answer.
-
-    Records ``explore:t2-family-vectorized`` and
-    ``explore:t2-family-vectorized-sharded``; returns the unsharded
-    comparison dict.
-    """
-    from dataclasses import replace
-
-    from repro.analysis.hostinfo import available_cpu_count
-    from repro.channels import DuplicatingChannel
-    from repro.kernel.compiled import CompiledSystem
-    from repro.kernel.system import System
-    from repro.protocols.norepeat import norepeat_protocol
-    from repro.verify import (
-        FrontierFamily,
-        VectorizedFamily,
-        explore_compiled,
-        vectorized_backend,
-    )
-    from repro.workloads import repetition_free_family
-
-    if shards <= 0:
-        shards = max(available_cpu_count(), 2)
-    domain = "abcdefgh"[:m]
-    sender, receiver = norepeat_protocol(domain)
-    systems = [
-        System(
-            sender,
-            receiver,
-            DuplicatingChannel(),
-            DuplicatingChannel(),
-            input_sequence,
-        )
-        for input_sequence in repetition_free_family(domain)
-    ]
-    tables = [CompiledSystem(system) for system in systems]
-    scalar_reports = [
-        explore_compiled(system, store_parents=False, compiled=table)
-        for system, table in zip(systems, tables)
-    ]
-    batched_family = FrontierFamily(systems, tables=tables)
-    vector_family = VectorizedFamily(systems, tables=tables)
-    sharded_family = VectorizedFamily(systems, tables=tables, shards=shards)
-
-    def _stable(record):
-        return replace(record, elapsed_seconds=0.0, states_per_second=0.0)
-
-    vector_reports = vector_family.explore()
-    identical = all(
-        _stable(fast) == _stable(scalar)
-        for fast, scalar in zip(vector_reports, scalar_reports)
-    )
-    sharded_reports = sharded_family.explore()
-    sharded_identical = all(
-        _stable(sharded) == _stable(fast)
-        for sharded, fast in zip(sharded_reports, vector_reports)
-    )
-    total_states = sum(r.states for r in scalar_reports)
-
-    start = time.perf_counter()
-    for _ in range(rounds):
-        batched_family.explore()
-    batched_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for _ in range(rounds):
-        vector_family.explore()
-    vector_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for _ in range(rounds):
-        sharded_family.explore()
-    sharded_seconds = time.perf_counter() - start
-
-    comparison = {
-        "speedup": (
-            batched_seconds / vector_seconds if vector_seconds > 0 else 0.0
-        ),
-        "batched_seconds": batched_seconds,
-        "rounds": rounds,
-        "inputs": len(systems),
-        "reports_identical": identical,
-        "backend": vectorized_backend(),
-    }
-    report.add(
-        "explore:t2-family-vectorized",
-        vector_seconds,
-        states=total_states * rounds,
-        states_per_second=(
-            total_states * rounds / vector_seconds
-            if vector_seconds > 0
-            else None
-        ),
-        **comparison,
-    )
-    report.add(
-        "explore:t2-family-vectorized-sharded",
-        sharded_seconds,
-        states=total_states * rounds,
-        states_per_second=(
-            total_states * rounds / sharded_seconds
-            if sharded_seconds > 0
-            else None
-        ),
-        speedup=(
-            batched_seconds / sharded_seconds if sharded_seconds > 0 else 0.0
-        ),
-        shards=shards,
-        rounds=rounds,
-        inputs=len(systems),
-        reports_identical=sharded_identical,
-        backend=vectorized_backend(),
-    )
-    return comparison
-
-
 def measure_stabilization(
     report: PerfReport, cache=None
 ) -> Dict[str, object]:
     """Record the corrupted-start sweep on the small lossy-FIFO instance.
 
     Runs :func:`repro.analysis.cache.cached_stabilize` for plain ABP and
-    the self-stabilizing ARQ, unreduced and reduced, on the batched
-    engine (verdicts are engine-invariant, so the baseline artifact does
-    not need every engine).  Asserts the reduced verdict sheets are
+    the self-stabilizing ARQ, unreduced and reduced.  Asserts the reduced
+    verdict sheets are
     bit-identical to the unreduced ones and that the qualitative split
     holds: ss-ARQ converges from every corrupt start, ABP does not.
 
@@ -1234,7 +1101,6 @@ def run_default_bench(
     cache=None,
     engine: str = "scalar",
     reduce: bool = False,
-    shards: int = 1,
 ) -> PerfReport:
     """The ``stp-repro bench`` suite: experiments, explorer, parallel
     sweep, the corrupted-start stabilization probe, the fabric scaling
@@ -1246,7 +1112,7 @@ def run_default_bench(
     through the experiments that memoize work; the report then carries a
     ``cache:stats`` record with the hit/miss counters.
 
-    ``engine`` / ``reduce`` / ``shards`` select the exhaustive-exploration
+    ``engine`` / ``reduce`` select the exhaustive-exploration
     engine the experiments use (see
     :func:`repro.analysis.cache.cached_explore`); the dedicated explorer
     probes always measure every engine.
@@ -1275,7 +1141,6 @@ def run_default_bench(
                 cache=cache,
                 engine=engine,
                 reduce=reduce,
-                shards=shards,
             )
             report.add(
                 f"experiment:{experiment_id}",
@@ -1293,7 +1158,6 @@ def run_default_bench(
         measure_explorer(report)
         measure_compiled_explorer(report)
         measure_batched_explorer(report)
-        measure_vectorized_explorer(report)
         measure_campaign_speedup(report, workers=workers)
         measure_stabilization(report, cache=cache)
         measure_fabric_scaling(report)

@@ -17,10 +17,8 @@ Subcommands:
 * ``report`` -- regenerate EXPERIMENTS.md;
 * ``explore`` -- exhaustively explore one protocol/channel/input system
   and print its report; ``--engine batched`` uses the level-synchronous
-  frontier engine (bit-identical unreduced), ``--engine vectorized`` the
-  dense-array frontier core (``--shards N`` forks the expansion across
-  processes, still bit-identical), ``--reduce`` quotients symmetric
-  states (verdict-preserving);
+  frontier engine (bit-identical unreduced), ``--reduce`` quotients
+  symmetric states (verdict-preserving);
 * ``cache`` -- inspect and manage the content-addressed result cache:
   ``cache stats`` (on-disk shape, ``--json`` for machine form),
   ``cache clear`` (wipe), ``cache prune --max-size N`` (evict oldest
@@ -36,13 +34,12 @@ Subcommands:
 * ``worker`` -- one pull-based fabric worker loop over a shared queue
   directory and cache store (start several, on one host or many);
 * ``bench`` -- time experiments, exhaustive exploration (object-graph,
-  compiled-table, batched-frontier, and vectorized), and the
+  compiled-table, and batched-frontier), and the
   serial-vs-parallel campaign sweep, and write the ``BENCH_PR10.json``
   perf artifact tracked PR over PR (carrying ``spans:`` and ``metrics:``
   sections from the observability layer); ``--cache-dir`` turns on the
   content-addressed result cache (``--no-cache`` runs cold);
-  ``--engine``/``--reduce``/``--shards`` select the experiments'
-  exploration engine;
+  ``--engine``/``--reduce`` select the experiments' exploration engine;
 * ``chaos`` -- run the fault-injection matrix (every protocol family
   crossed with the fault vocabulary) plus the F8 recovery sweep under the
   self-healing runner, and write the ``BENCH_PR2.json`` resilience
@@ -51,10 +48,10 @@ Subcommands:
   initial configurations of each protocol x channel pair (scrambled
   local states, forged bounded channel contents), multi-source-BFS from
   all of them, and report per-source stabilization verdicts and depths;
-  ``--engine``/``--reduce``/``--shards`` select the frontier engine
-  (verdicts are bit-identical across all of them), ``--sample N --seed
-  S`` analyzes a seeded subsample, ``--out`` writes a perf artifact with
-  the ``recovery.stabilization_*`` gauges attached;
+  ``--reduce`` judges one representative per symmetry class (verdicts
+  are bit-identical), ``--sample N --seed S`` analyzes a seeded
+  subsample, ``--out`` writes a perf artifact with the
+  ``recovery.stabilization_*`` gauges attached;
 * ``serve`` -- run the verification service: an asyncio front-end
   speaking newline-delimited JSON (schema ``stp-service/1``) that
   answers warm requests from the result cache, coalesces identical
@@ -80,6 +77,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.analysis.cache import ENGINES
 from repro.core.alpha import alpha
 from repro.experiments.base import _MODULES, run_experiment
 from repro.kernel.errors import KernelError
@@ -135,23 +133,12 @@ def _add_profile_arguments(parser) -> None:
 def _add_engine_arguments(parser) -> None:
     parser.add_argument(
         "--engine",
-        choices=("scalar", "batched", "vectorized"),
+        choices=ENGINES,
         default="scalar",
         help=(
             "exhaustive-exploration engine: 'scalar' walks states one at "
             "a time, 'batched' expands whole frontier levels over the "
-            "compiled table, 'vectorized' expands dense-id arrays with a "
-            "visited bitset (identical reports, faster)"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "partition each vectorized frontier level into N shards and "
-            "expand them in fork-pool workers (bit-identical reports; "
-            "ignored by the other engines)"
+            "compiled table (identical reports)"
         ),
     )
     parser.add_argument(
@@ -183,7 +170,6 @@ def _run_experiments(args) -> int:
             workers=args.workers,
             engine=getattr(args, "engine", "scalar"),
             reduce=getattr(args, "reduce", False),
-            shards=getattr(args, "shards", 1),
         )
         print(result.rendered)
         if result.notes:
@@ -356,7 +342,6 @@ def _run_bench(args) -> int:
         cache=cache,
         engine=args.engine,
         reduce=args.reduce,
-        shards=args.shards,
     )
     print(report.render())
     path = report.write(args.out)
@@ -405,7 +390,6 @@ def _cmd_explore(args) -> int:
             cache=cache,
             engine=args.engine,
             reduce=args.reduce,
-            shards=args.shards,
         )
     except (KernelError, ValueError) as error:
         print(f"cannot explore this system: {error}", file=sys.stderr)
@@ -486,9 +470,7 @@ def _run_stabilize(args) -> int:
                 result = cached_stabilize(
                     system,
                     cache=cache,
-                    engine=args.engine,
                     reduce=args.reduce,
-                    shards=args.shards,
                     sample=args.sample,
                     seed=args.seed,
                     max_states=args.max_states,
@@ -1550,8 +1532,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             "the recovery.stabilization_* gauges attached"
         ),
     )
-    _add_engine_arguments(stabilize_parser)
-    stabilize_parser.set_defaults(func=_cmd_stabilize, engine="batched")
+    stabilize_parser.add_argument(
+        "--reduce",
+        action="store_true",
+        help=(
+            "judge one representative per symmetry class of the corrupt "
+            "set (verdicts are unchanged)"
+        ),
+    )
+    stabilize_parser.set_defaults(func=_cmd_stabilize)
     _add_profile_arguments(stabilize_parser)
 
     serve_parser = sub.add_parser(
@@ -1680,8 +1669,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     request_parser.add_argument("--max-states", type=int, default=100_000)
     request_parser.add_argument(
-        "--engine", choices=("scalar", "batched", "vectorized"),
-        default="scalar",
+        "--engine", choices=ENGINES, default="scalar"
     )
     request_parser.add_argument("--reduce", action="store_true")
     request_parser.add_argument(

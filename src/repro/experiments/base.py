@@ -94,13 +94,12 @@ def run_experiment(
     cache=None,
     engine: str = "scalar",
     reduce: bool = False,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Run one experiment by id.
 
     ``workers`` requests process-parallel campaign sweeps and ``cache`` (a
     :class:`repro.analysis.cache.ResultCache`) memoizes exploration and
-    campaign results by content; ``engine`` / ``reduce`` / ``shards`` pick
+    campaign results by content; ``engine`` / ``reduce`` pick
     the exhaustive-exploration engine for experiments with exhaustive columns
     (see :func:`repro.analysis.cache.cached_explore`).  Each option is
     forwarded to experiments whose entry point accepts it (unreduced
@@ -123,6 +122,4 @@ def run_experiment(
         kwargs["engine"] = engine
     if reduce and "reduce" in parameters:
         kwargs["reduce"] = reduce
-    if shards != 1 and "shards" in parameters:
-        kwargs["shards"] = shards
     return module.run(**kwargs)

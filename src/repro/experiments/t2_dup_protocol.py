@@ -67,7 +67,6 @@ def run(
     cache: Optional[ResultCache] = None,
     engine: str = "scalar",
     reduce: bool = False,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Build Table 2.
 
@@ -144,7 +143,6 @@ def run(
                     cache=cache,
                     engine=engine,
                     reduce=reduce,
-                    shards=shards,
                 )
                 total_states += report.states
                 all_safe = (

@@ -52,7 +52,6 @@ def run(
     cache: Optional[ResultCache] = None,
     engine: str = "scalar",
     reduce: bool = False,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Build Table 4.
 
@@ -108,7 +107,6 @@ def run(
                     cache=cache,
                     engine=engine,
                     reduce=reduce,
-                    shards=shards,
                 )
                 total += report.states
                 all_safe = (

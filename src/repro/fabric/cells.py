@@ -111,7 +111,7 @@ def sweep_cell_warm(cell: SweepCell, cache: ResultCache) -> bool:
     Explore cells probe their report; stabilize shards probe the shard
     payload *and* the member's merged result -- either satisfies the
     cell, which is what makes a sweep warmed by a single-host
-    ``cached_stabilize`` (any engine, any shard count) claim nothing.
+    ``cached_stabilize`` (any shard count) claim nothing.
     """
     kind = cell_kind(cell.kind)
     if cache.get(kind.result_kind, cell.cell_id) is not None:

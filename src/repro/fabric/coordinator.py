@@ -268,8 +268,8 @@ def run_sweep(
     Same shape as :func:`run_fabric`, but over explore/stabilize sweep
     cells: plan, enqueue cold cells (self-describing tickets), drive
     workers, then merge per-member results.  A sweep whose members were
-    all computed before -- by any engine, shard count, worker fleet, or
-    the plain ``cached_*`` single-host path -- enqueues nothing and
+    all computed before -- by either engine, any shard count or worker
+    fleet, or the plain ``cached_*`` single-host path -- enqueues nothing and
     claims nothing.
     """
     if workers < 1:
@@ -346,7 +346,6 @@ def serial_sweep(spec: SweepSpec, cache: ResultCache) -> Dict[str, object]:
             results[result_key] = cached_stabilize(
                 system,
                 cache=cache,
-                engine="batched",
                 reduce=spec.reduce,
                 sample=spec.sample,
                 seed=spec.seed,

@@ -207,17 +207,14 @@ def _explore_payload(report) -> Dict[str, object]:
 
 
 def _stabilize_payload(result) -> Dict[str, object]:
-    """A timing-free, engine-free JSON projection of one verdict sheet.
+    """A timing-free JSON projection of one verdict sheet.
 
-    Drops ``engine`` and ``shards`` on top of timing so the projection
-    is byte-identical no matter how the member was computed -- serial,
+    Byte-identical no matter how the member was computed -- serial,
     sharded 2-way, or sharded 4-way.  The full repr-sorted verdict sheet
     is included: that is the field the byte-equality CI gate actually
     proves distributed/serial agreement on.
     """
     payload = dict(result.summary())
-    payload.pop("engine", None)
-    payload.pop("shards", None)
     payload["verdicts"] = [
         [repr(config), bool(ok), depth]
         for config, ok, depth in result.verdicts

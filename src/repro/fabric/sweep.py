@@ -23,8 +23,8 @@ workloads onto the same queue/store machinery:
   into a shared queue for remote worker fleets to drain.
 
 Because cell ids are the live cache fingerprints, warm-anywhere holds in
-both directions: a sweep warmed by any engine (``batched`` /
-``vectorized``, any shard count) yields zero claimed cells on re-run,
+both directions: a sweep warmed by either engine (``scalar`` /
+``batched``, any shard count) yields zero claimed cells on re-run,
 and a drained sweep answers later ``cached_explore`` /
 ``cached_stabilize`` calls from the store.
 

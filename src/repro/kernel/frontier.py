@@ -254,11 +254,9 @@ def explore_multi_source_batched(
     of illegitimate states whose shortest corrupt-path distance from the
     source set is ``k``).
 
-    The result is an order-free pair of sets/counts, so the vectorized
-    twin (:func:`repro.kernel.vectorized.explore_multi_source_vectorized`)
-    produces the identical value on any backend and shard count --
-    per-source stabilization verdicts derived from it cannot depend on
-    the engine.  A ``max_states`` overflow raises
+    The result is an order-free pair of sets/counts, so per-source
+    stabilization verdicts derived from it cannot depend on the order
+    in which a level is expanded.  A ``max_states`` overflow raises
     :class:`~repro.kernel.errors.VerificationError` rather than
     truncating: a truncated corrupt reachability graph would make every
     downstream verdict unsound.
@@ -455,8 +453,7 @@ def _resume_state(
     capture must extend.  Schema and ``include_drops`` mismatches are
     refused; a budget *below* the snapshot's spend silently starts over
     (the snapshot holds no information about the earlier truncation
-    prefix).  Shared by the batched and vectorized engines so their
-    resume semantics cannot drift apart.
+    prefix).
     """
     if resume_from is None:
         return None, ()

@@ -1,1073 +1,20 @@
-"""Vectorized frontier core: dense-id BFS levels as flat integer arrays.
+"""Array-backend probe kept for the cold benchmark's imports.
 
-The batched engine (:mod:`repro.kernel.frontier`) already processes
-whole frontiers at once, but its levels are Python ``set`` objects: every
-bulk union rehashes every successor id, and every dedup is a per-element
-membership probe.  This module swaps the *representation*: a BFS level is
-a flat, sorted integer array, successor expansion is one gather over a
-padded dense successor matrix, and dedup is a boolean **visited bitset**
-indexed by state id -- no hashing anywhere on the hot path.
-
-Two interchangeable backends keep the package pure-python-installable:
-
-* **numpy** (used when importable): the successor matrix is an
-  ``int64`` array padded with ``-1``; a level expands as
-  ``matrix[frontier]`` -> ravel -> mask the padding -> mask the visited
-  bitset -> ``np.unique``.  Every step is one C loop over a flat buffer.
-* **pure python** (the fallback): successor rows stay tuples, the
-  visited bitset is a ``bytearray``, and dedup marks the bitset while
-  scanning -- still no per-successor ``set`` membership tests.  Reports
-  are identical to the numpy backend (property-swept with numpy
-  monkeypatched away).
-
-On top of the dense representation, :func:`explore_vectorized` accepts a
-``shards=`` knob: each frontier is partitioned by state-id hash
-(``id % shards``) and the shards expand in fork-pool workers sized by
-:func:`repro.analysis.hostinfo.available_cpu_count`.  Workers inherit
-the kernel's materialized rows through the fork's memory snapshot, so
-they can only expand states whose rows existed at fork time; the parent
-expands the (cold) remainder inline.  Shard results merge in shard-index
-order and the union is order-free, so the merged level -- and therefore
-the whole report -- is **bit-identical** to the single-process engines.
-The two order-sensitive outcomes (a Safety violation inside a level, a
-``max_states`` budget running out mid-level) reuse the batched engine's
-wholesale delegation to the exact scalar search over the warm table.
-
-:class:`VectorizedFamily` is the family-sweep twin of
-:class:`~repro.kernel.frontier.FrontierFamily`.  Construction runs the
-real vectorized BFS over every member; ``explore()`` then exploits that
-the union of *disjoint* member spaces factorizes exactly -- member
-``i``'s union-level-``k`` frontier is its own level-``k`` frontier -- so
-per-member report fields are assembled from the dense per-member arrays
-(states, peaks, completion bits, level-width matrix) instead of
-re-walking the union graph every call.  Reports are bit-identical to
-``FrontierFamily.explore()`` in every non-timing field, including the
-shared-sweep timing *shape* (one wall time, one aggregate throughput).
-
-Like the batched module, this one lives in the kernel (it is a traversal
-over :class:`~repro.kernel.compiled.CompiledSystem`) but produces
-:class:`~repro.verify.explorer.ExplorationReport` values; explorer
-imports stay lazy to keep the import graph acyclic.
+The dense-array explore engine that lived here is gone; the batched
+engine (:mod:`repro.kernel.frontier`) is the one fast engine beside the
+scalar oracle.  This module exists only because ``perfbench/rep.py``
+imports it during family-cold set-up and ``perfbench/run.py`` records
+:func:`vectorized_backend` (re-exported by :mod:`repro.verify`) as
+provenance.  Drop it with the next change to the benchmark.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro import obs
-from repro.kernel.compiled import CompiledSystem
-from repro.kernel.errors import VerificationError
-from repro.kernel.frontier import (
-    FrontierSnapshot,
-    _capture_snapshot,
-    _drained_result,
-    _fast_report,
-    _report_cls,
-    _resume_state,
-    _unsafe_initial_report,
-    canonical_input_signature,
-)
-from repro.kernel.system import System
-
-#: Sentinel for "numpy not probed yet".  The accelerated backend is
-#: optional and must also stay *lazy*: importing :mod:`repro.verify`
-#: (which re-exports this module's names) must not pay for -- or
-#: side-effect -- the array stack when the vectorized engine is never
-#: used, so the import happens on first backend decision instead of at
-#: module load.
-_UNRESOLVED = object()
-_np = _UNRESOLVED
-
-
-def _resolve_np():
-    """Import numpy on first engine use; ``None`` means pure python.
-
-    Only the unresolved sentinel triggers the import: a value already in
-    place -- including a monkeypatched ``None`` forcing the fallback
-    backend -- is left alone.
-    """
-    global _np
-    if _np is _UNRESOLVED:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - numpy present in CI image
-            _np = None
-        else:
-            _np = numpy
-    return _np
-
-
-#: Padding value in the dense successor matrix; filtered out by the
-#: ``>= 0`` mask before ids ever touch the visited bitset.
-_PAD = -1
-
 
 def vectorized_backend() -> str:
-    """``"numpy"`` when the array backend is active, else ``"python"``."""
-    return "numpy" if _resolve_np() is not None else "python"
-
-
-# ---------------------------------------------------------------------------
-# dense successor storage
-# ---------------------------------------------------------------------------
-
-
-class VectorizedKernel:
-    """Dense successor storage over one :class:`CompiledSystem`.
-
-    Rows are materialized lazily (materialization is what interns new
-    states into the table, so it must happen in the parent process and
-    in frontier order, exactly like the other engines).  Each row is
-    kept twice under numpy: as the table's tuple (for shard workers and
-    the pure-python paths) and as a ``-1``-padded row of the gather
-    matrix.  The matrix grows geometrically in both dimensions as the
-    table and the maximum out-degree grow.
-    """
-
-    def __init__(self, table: CompiledSystem, include_drops: bool = True) -> None:
-        self.table = table
-        self.include_drops = include_drops
-        self._succ = (
-            table.succ_row if include_drops else table.succ_row_without_drops
-        )
-        self._rows: List[Optional[Tuple[int, ...]]] = []
-        self._degree = 0
-        if _resolve_np() is not None:
-            self._matrix = _np.full(
-                (max(len(table), 1), 1), _PAD, dtype=_np.int64
-            )
-        else:
-            self._matrix = None
-
-    def ensure(self, ids: Sequence[int]) -> None:
-        """Materialize the successor rows of ``ids`` (in the given order).
-
-        Materializing a row interns its successor configurations, so the
-        table -- and with it the id space the visited bitset must cover
-        -- may grow during this call.
-        """
-        rows = self._rows
-        succ = self._succ
-        fresh: List[int] = []
-        for sid in ids:
-            if sid >= len(rows) or rows[sid] is None:
-                fresh.append(sid)
-        if not fresh:
-            return
-        degree = self._degree
-        for sid in fresh:
-            row = succ(sid)
-            if sid >= len(rows):
-                rows.extend([None] * (sid + 1 - len(rows)))
-            rows[sid] = row
-            if len(row) > degree:
-                degree = len(row)
-        self._degree = degree
-        if _np is not None:
-            self._sync_matrix(fresh)
-
-    def _sync_matrix(self, fresh: Sequence[int]) -> None:
-        matrix = self._matrix
-        need_rows = len(self.table)
-        need_cols = max(self._degree, 1)
-        if matrix.shape[0] < need_rows or matrix.shape[1] < need_cols:
-            grown = _np.full(
-                (
-                    max(need_rows, matrix.shape[0] * 2),
-                    max(need_cols, matrix.shape[1]),
-                ),
-                _PAD,
-                dtype=_np.int64,
-            )
-            grown[: matrix.shape[0], : matrix.shape[1]] = matrix
-            self._matrix = matrix = grown
-        rows = self._rows
-        for sid in fresh:
-            row = rows[sid]
-            if row:
-                matrix[sid, : len(row)] = row
-
-    def row(self, sid: int) -> Tuple[int, ...]:
-        """The (already ensured) successor row of ``sid``."""
-        return self._rows[sid]
-
-
-# ---------------------------------------------------------------------------
-# multiprocess sharding
-# ---------------------------------------------------------------------------
-
-#: The kernel being expanded by shard workers: set just before the
-#: fork-based pool spawns (inherited through the children's memory
-#: snapshot) and cleared afterwards; shard tasks then only carry the
-#: picklable id lists.
-_SHARD_CONTEXT: Optional[VectorizedKernel] = None
-
-
-def _pool_expand_shard(ids: Sequence[int]) -> List[int]:
-    """Union of the successor rows of one frontier shard.
-
-    Runs in a fork-pool worker over the rows inherited at fork time;
-    the parent guarantees every id in ``ids`` had its row materialized
-    before the pool spawned.  Returns sorted ids so the parent-side
-    merge is deterministic regardless of worker scheduling.
-    """
-    rows = _SHARD_CONTEXT._rows
-    out: set = set()
-    for sid in ids:
-        out.update(rows[sid])
-    return sorted(out)
-
-
-def _effective_shard_workers(shards: int) -> int:
-    """Fork-pool size for a ``shards=`` request (1 means stay serial).
-
-    Mirrors the campaign pool's guards: no fork start method or a single
-    schedulable CPU (affinity/cgroup-aware) means forked shards would
-    time-slice one core and pay pickling on top, so the sharded
-    expansion runs serially in-process instead -- same partition, same
-    merge, bit-identical reports.
-    """
-    if shards <= 1:
-        return 1
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    from repro.analysis.hostinfo import available_cpu_count
-
-    cpus = available_cpu_count()
-    if cpus <= 1:
-        return 1
-    return min(shards, cpus)
-
-
-class _ShardPlan:
-    """Per-search sharding state: the pool (if any) and merge timing.
-
-    ``fork_known`` snapshots which rows existed when the pool forked;
-    only those ids may be dispatched to workers (rows materialized later
-    exist solely in the parent's memory).
-    """
-
-    def __init__(self, shards: int, kernel: VectorizedKernel) -> None:
-        self.shards = max(1, int(shards))
-        self.merge_wait = 0.0
-        self.pool: Optional[ProcessPoolExecutor] = None
-        self._fork_mask = b""
-        workers = _effective_shard_workers(self.shards)
-        if workers > 1:
-            global _SHARD_CONTEXT
-            _SHARD_CONTEXT = kernel
-            self._fork_mask = bytes(
-                1 if row is not None else 0 for row in kernel._rows
-            )
-            self.pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-
-    def split(self, frontier: Sequence[int]) -> Tuple[List[List[int]], List[int]]:
-        """Partition a frontier into worker shards and the inline rest.
-
-        Ids whose rows the workers inherited at fork time hash into
-        shards by ``id % shards``; ids materialized later (cold regions
-        of the space) stay with the parent.
-        """
-        shard_lists: List[List[int]] = [[] for _ in range(self.shards)]
-        inline: List[int] = []
-        mask = self._fork_mask
-        limit = len(mask)
-        for sid in frontier:
-            if sid < limit and mask[sid]:
-                shard_lists[int(sid) % self.shards].append(int(sid))
-            else:
-                inline.append(sid)
-        return shard_lists, inline
-
-    def close(self) -> None:
-        if self.pool is not None:
-            global _SHARD_CONTEXT
-            self.pool.shutdown()
-            self.pool = None
-            _SHARD_CONTEXT = None
-
-
-# ---------------------------------------------------------------------------
-# single-system vectorized search
-# ---------------------------------------------------------------------------
-
-
-def _expand_level(
-    kernel: VectorizedKernel,
-    plan: _ShardPlan,
-    frontier,
-    visited,
-):
-    """One sharded, vectorized level expansion.
-
-    Returns ``(new, visited)``: the sorted array/list of ids discovered
-    this level (already marked in ``visited``) and the -- possibly
-    regrown -- visited bitset.  The set of ids produced is exactly
-    ``union(succ(frontier)) - visited``, the same order-free quantity the
-    batched engine computes, so every downstream decision matches.
-    """
-    if plan.pool is not None:
-        shard_lists, inline = plan.split(frontier)
-        tasks = [shard for shard in shard_lists if shard]
-        start = time.perf_counter()
-        shard_results = (
-            list(plan.pool.map(_pool_expand_shard, tasks)) if tasks else []
-        )
-        plan.merge_wait += time.perf_counter() - start
-        kernel.ensure(inline)
-        local = inline
-    else:
-        # Serial execution: partitioning a level and re-merging it is
-        # the identity, so the whole frontier expands as one gather.
-        kernel.ensure(frontier)
-        shard_results = []
-        local = frontier
-
-    table_size = len(kernel.table)
-    if _np is not None:
-        if len(visited) < table_size:
-            grown = _np.zeros(table_size, dtype=bool)
-            grown[: len(visited)] = visited
-            visited = grown
-        pieces = [
-            _np.asarray(shard, dtype=_np.int64) for shard in shard_results
-        ]
-        if len(local):
-            flat = kernel._matrix[
-                _np.asarray(local, dtype=_np.int64)
-            ].ravel()
-            pieces.append(flat[flat >= 0])
-        if pieces:
-            candidates = (
-                pieces[0] if len(pieces) == 1 else _np.concatenate(pieces)
-            )
-            candidates = candidates[~visited[candidates]]
-            new = _np.unique(candidates)
-        else:
-            new = _np.empty(0, dtype=_np.int64)
-        visited[new] = True
-        return new, visited
-
-    if len(visited) < table_size:
-        visited.extend(bytes(table_size - len(visited)))
-    new_list: List[int] = []
-    for shard in shard_results:
-        for nid in shard:
-            if not visited[nid]:
-                visited[nid] = 1
-                new_list.append(nid)
-    for sid in local:
-        for nid in kernel.row(sid):
-            if not visited[nid]:
-                visited[nid] = 1
-                new_list.append(nid)
-    new_list.sort()
-    return new_list, visited
-
-
-def _visited_ids(visited) -> List[int]:
-    """Sorted python-int ids marked in the visited bitset.
-
-    Snapshot digests embed ``repr(visited_tuple)``; numpy scalars repr
-    differently from ints, so the conversion to builtin ints is part of
-    the cross-engine snapshot-identity contract, not a nicety.
-    """
-    if _np is not None and not isinstance(visited, bytearray):
-        return _np.flatnonzero(visited).tolist()
-    return [sid for sid, mark in enumerate(visited) if mark]
-
-
-def _count_visited(visited) -> int:
-    if _np is not None and not isinstance(visited, bytearray):
-        return int(visited.sum())
-    return sum(1 for mark in visited if mark)
-
-
-def _level_all_safe(table: CompiledSystem, new) -> bool:
-    if _np is not None and not isinstance(new, list):
-        if len(new) == 0:
-            return True
-        # Copy the safety bits out of the (growable) bytearray: holding a
-        # zero-copy view would block the table from resizing it later.
-        bits = _np.frombuffer(bytes(table._safe), dtype=_np.uint8)
-        return bool(bits[new].all())
-    return all(map(table._safe.__getitem__, new))
-
-
-def _level_any_complete(table: CompiledSystem, new) -> bool:
-    if _np is not None and not isinstance(new, list):
-        if len(new) == 0:
-            return False
-        bits = _np.frombuffer(bytes(table._complete), dtype=_np.uint8)
-        return bool(bits[new].any())
-    return any(map(table._complete.__getitem__, new))
-
-
-def _explore_vectorized_core(
-    system: System,
-    max_states: int,
-    include_drops: bool,
-    store_parents: bool,
-    compiled: Optional[CompiledSystem],
-    capture: bool,
-    resume_from: Optional[FrontierSnapshot],
-    fingerprint: str,
-    shards: int = 1,
-    kernel: Optional[VectorizedKernel] = None,
-):
-    """Level-synchronous unreduced search over the dense representation.
-
-    Returns ``(report, snapshot, stats)`` with the exact semantics of
-    :func:`repro.kernel.frontier._explore_batched_core`: same budget
-    accounting, same level boundaries, same wholesale delegation to the
-    scalar engine for the two order-sensitive outcomes, same snapshot
-    capture points.  ``stats`` additionally records the per-level widths
-    (consumed by :class:`VectorizedFamily`) and the sharding shape.
-    """
-    from repro.verify.explorer import _explore_table
-
-    if max_states < 1:
-        raise VerificationError("max_states must be positive")
-    _resolve_np()  # pick the backend before any array is touched
-    start = time.perf_counter()
-
-    snap, parent_lineage = _resume_state(resume_from, include_drops, max_states)
-    if snap is not None and not snap.truncated:
-        return _drained_result(snap, capture, start)
-
-    if snap is not None:
-        table = (
-            compiled
-            if compiled is not None
-            else CompiledSystem.from_snapshot(system, snap.table)
-        )
-        size = max(len(table), (snap.visited[-1] + 1) if snap.visited else 1)
-        if _np is not None:
-            visited = _np.zeros(size, dtype=bool)
-            visited[list(snap.visited)] = True
-        else:
-            visited = bytearray(size)
-            for sid in snap.visited:
-                visited[sid] = 1
-        frontier = (
-            _np.asarray(snap.frontier, dtype=_np.int64)
-            if _np is not None
-            else list(snap.frontier)
-        )
-        expanded = snap.expanded
-        peak_frontier = snap.peak_frontier
-        depth = snap.depth
-        completion_reachable = snap.completion_reachable
-    else:
-        table = compiled if compiled is not None else CompiledSystem(system)
-        initial_id = table.initial_id()
-        completion_reachable = table.is_complete(initial_id)
-        if not table.is_safe(initial_id):
-            return (
-                _unsafe_initial_report(completion_reachable, start),
-                None,
-                None,
-            )
-        size = max(len(table), initial_id + 1)
-        if _np is not None:
-            visited = _np.zeros(size, dtype=bool)
-            visited[initial_id] = True
-            frontier = _np.asarray([initial_id], dtype=_np.int64)
-        else:
-            visited = bytearray(size)
-            visited[initial_id] = 1
-            frontier = [initial_id]
-        expanded = 0
-        peak_frontier = 1
-        depth = 0
-
-    if kernel is None:
-        kernel = VectorizedKernel(table, include_drops)
-    plan = _ShardPlan(shards, kernel)
-    truncated = False
-    widths: List[int] = []
+    """``"numpy"`` when numpy is importable, else ``"python"``."""
     try:
-        while len(frontier):
-            width = len(frontier)
-            widths.append(width)
-            if width > peak_frontier:
-                peak_frontier = width
-            remaining = max_states - expanded
-            if remaining == 0:
-                # Budget exhausted exactly at a level boundary: truncate
-                # with the peak already counted, like the scalar engine.
-                truncated = True
-                break
-            if remaining < width:
-                # Mid-level truncation depends on scalar discovery order,
-                # which flat levels do not preserve: recompute exactly.
-                return (
-                    _explore_table(
-                        system, max_states, include_drops, store_parents, table
-                    ),
-                    None,
-                    None,
-                )
-            new, visited = _expand_level(kernel, plan, frontier, visited)
-            expanded += width
-            depth += 1
-            if len(new) == 0:
-                frontier = ()
-                break
-            if not _level_all_safe(table, new):
-                # Which violating state the scalar search reaches first
-                # (and hence the shortest witness) is order-defined.
-                return (
-                    _explore_table(
-                        system, max_states, include_drops, store_parents, table
-                    ),
-                    None,
-                    None,
-                )
-            if not completion_reachable and _level_any_complete(table, new):
-                completion_reachable = True
-            frontier = new
-    finally:
-        plan.close()
-
-    elapsed = time.perf_counter() - start
-    states = _count_visited(visited)
-    report = _fast_report(
-        states=states,
-        all_safe=True,
-        violation_path=None,
-        completion_reachable=completion_reachable,
-        truncated=truncated,
-        expanded_states=expanded,
-        peak_frontier=peak_frontier,
-        elapsed_seconds=elapsed,
-        states_per_second=expanded / elapsed if elapsed > 0 else 0.0,
-    )
-    snapshot = None
-    if capture:
-        snapshot = _capture_snapshot(
-            table,
-            fingerprint,
-            parent_lineage,
-            include_drops,
-            max_states,
-            _visited_ids(visited),
-            [int(sid) for sid in frontier],
-            expanded,
-            peak_frontier,
-            depth,
-            completion_reachable,
-            truncated,
-        )
-    stats = {
-        "depth": depth,
-        "width": peak_frontier,
-        "widths": tuple(widths),
-        "shards": plan.shards,
-        "merge_wait": plan.merge_wait,
-    }
-    return report, snapshot, stats
-
-
-def explore_multi_source_vectorized(
-    table: CompiledSystem,
-    sources: Sequence[int],
-    legitimate: frozenset,
-    max_states: int = 1_000_000,
-    include_drops: bool = True,
-    shards: int = 1,
-) -> Tuple[set, Tuple[int, ...]]:
-    """Dense-array twin of
-    :func:`repro.kernel.frontier.explore_multi_source_batched`.
-
-    The whole corrupt initial set seeds the first frontier; the
-    legitimate ids are pre-marked in the visited bitset so legitimate
-    successors are absorbed by the same mask that deduplicates revisits.
-    Returns the identical ``(visited, widths)`` pair as the batched
-    engine -- a plain ``set`` of builtin ints and per-level widths -- on
-    either backend and at any ``shards`` value, because each level is
-    the order-free quantity ``union(succ(frontier)) - visited`` however
-    it is computed.  Overflowing ``max_states`` raises
-    :class:`~repro.kernel.errors.VerificationError` exactly where the
-    batched engine would.
-    """
-    if max_states < 1:
-        raise VerificationError("max_states must be positive")
-    _resolve_np()
-    kernel = VectorizedKernel(table, include_drops)
-    plan = _ShardPlan(shards, kernel)
-    illegit_sources = sorted({int(sid) for sid in sources} - set(legitimate))
-    size = max(len(table), 1)
-    if _np is not None:
-        visited = _np.zeros(size, dtype=bool)
-        if legitimate:
-            visited[sorted(legitimate)] = True
-        visited[illegit_sources] = True
-        frontier = _np.asarray(illegit_sources, dtype=_np.int64)
-    else:
-        visited = bytearray(size)
-        for sid in legitimate:
-            visited[sid] = 1
-        for sid in illegit_sources:
-            visited[sid] = 1
-        frontier = list(illegit_sources)
-    discovered = set(illegit_sources)
-    widths: List[int] = []
-    try:
-        while len(frontier):
-            widths.append(len(frontier))
-            if len(discovered) > max_states:
-                raise VerificationError(
-                    f"corrupted-start exploration exceeded max_states="
-                    f"{max_states}; raise the budget (verdicts from a "
-                    f"truncated graph would be unsound)"
-                )
-            new, visited = _expand_level(kernel, plan, frontier, visited)
-            discovered.update(int(sid) for sid in new)
-            frontier = new
-    finally:
-        plan.close()
-    return discovered, tuple(widths)
-
-
-def explore_vectorized(
-    system: System,
-    max_states: int = 1_000_000,
-    include_drops: bool = True,
-    store_parents: bool = True,
-    compiled: Optional[CompiledSystem] = None,
-    shards: int = 1,
-):
-    """Dense-array twin of :func:`~repro.kernel.frontier.explore_batched`.
-
-    The report is bit-identical to ``explore_compiled`` /
-    ``explore_batched`` in every non-timing field on either backend and
-    at any ``shards`` value; the two order-sensitive outcomes delegate
-    wholesale to the exact scalar search over the warm table.
-
-    ``shards=N`` partitions each frontier by ``id % N`` and expands the
-    shards in fork-pool workers when the host has schedulable CPUs to
-    spare (see :func:`_effective_shard_workers`); otherwise the same
-    partition runs serially in-process.  ``store_parents`` only affects
-    the scalar fallback, as in the batched engine.
-    """
-    if not obs.enabled():
-        return _explore_vectorized_core(
-            system, max_states, include_drops, store_parents, compiled,
-            capture=False, resume_from=None, fingerprint="", shards=shards,
-        )[0]
-    from repro.verify.explorer import _note_search
-
-    with obs.span(
-        "explore", compiled=True, engine="vectorized", shards=shards
-    ) as _span:
-        report, _snapshot, stats = _explore_vectorized_core(
-            system, max_states, include_drops, store_parents, compiled,
-            capture=False, resume_from=None, fingerprint="", shards=shards,
-        )
-        _note_search(_span, report, compiled=True)
-        _emit_vectorized_gauges(stats)
-        return report
-
-
-def explore_vectorized_resumable(
-    system: System,
-    max_states: int = 1_000_000,
-    include_drops: bool = True,
-    compiled: Optional[CompiledSystem] = None,
-    resume_from: Optional[FrontierSnapshot] = None,
-    fingerprint: str = "",
-    shards: int = 1,
-):
-    """:func:`explore_vectorized` with snapshot in / snapshot out.
-
-    Snapshots are plain :class:`~repro.kernel.frontier.FrontierSnapshot`
-    values (same schema, same digest lineage), so the vectorized and
-    batched engines can resume each other's cuts: a snapshot captured by
-    either engine, resumed by either engine, yields a report
-    bit-identical to a fresh run at the resumed budget.  ``snapshot`` is
-    None when the run delegated to the scalar engine.
-    """
-    if not obs.enabled():
-        report, snapshot, _stats = _explore_vectorized_core(
-            system, max_states, include_drops, True, compiled,
-            capture=True, resume_from=resume_from, fingerprint=fingerprint,
-            shards=shards,
-        )
-        return report, snapshot
-    from repro.verify.explorer import _note_search
-
-    with obs.span(
-        "explore", compiled=True, engine="vectorized",
-        resumed=resume_from is not None, shards=shards,
-    ) as _span:
-        report, snapshot, stats = _explore_vectorized_core(
-            system, max_states, include_drops, True, compiled,
-            capture=True, resume_from=resume_from, fingerprint=fingerprint,
-            shards=shards,
-        )
-        _note_search(_span, report, compiled=True)
-        _emit_vectorized_gauges(stats)
-        return report, snapshot
-
-
-def _emit_vectorized_gauges(stats: Optional[dict]) -> None:
-    if not stats or not obs.enabled():
-        return
-    obs.gauge_set("frontier.depth", stats["depth"])
-    obs.gauge_set("frontier.width", stats["width"])
-    obs.gauge_set("frontier.shards", stats.get("shards", 1))
-    obs.gauge_set("frontier.merge_wait", stats.get("merge_wait", 0.0))
-
-
-# ---------------------------------------------------------------------------
-# family engine: dense assembly over the disjoint union
-# ---------------------------------------------------------------------------
-
-
-class VectorizedFamily:
-    """Dense-representation twin of :class:`FrontierFamily`.
-
-    Construction runs the vectorized BFS (optionally sharded) over every
-    member and keeps the results as flat per-member arrays: state
-    counts, frontier peaks, completion bits, and the level-width matrix.
-    Because the members' state spaces are *disjoint* in the union graph,
-    a union BFS factorizes exactly -- member ``i``'s union-level-``k``
-    frontier is its own level-``k`` frontier -- so each :meth:`explore`
-    call assembles the per-member reports directly from those arrays
-    instead of re-walking the union: the level-set work the batched
-    family repeats every sweep collapses into a handful of array
-    reductions.  Reports are bit-identical to
-    ``FrontierFamily.explore()`` in every non-timing field, and the
-    timing fields keep the same shared-sweep shape (one wall time, one
-    aggregate states-per-second for the whole call).
-
-    Members that are unsafe or truncated at warm-up, and members whose
-    per-call budget undercuts their known state count, take the exact
-    scalar path -- the same rule, in the same code shape, as the batched
-    family.  ``reduce=True`` groups members by
-    :func:`canonical_input_signature` and shares one representative
-    report per isomorphism class.
-    """
-
-    def __init__(
-        self,
-        systems: Sequence[System],
-        include_drops: bool = True,
-        tables: Optional[Sequence[CompiledSystem]] = None,
-        max_states: int = 1_000_000,
-        shards: int = 1,
-    ) -> None:
-        if not systems:
-            raise VerificationError(
-                "VectorizedFamily needs at least one system"
-            )
-        if tables is not None and len(tables) != len(systems):
-            raise VerificationError(
-                "tables, when given, must match systems one-to-one"
-            )
-        self.systems: Tuple[System, ...] = tuple(systems)
-        self.include_drops = include_drops
-        self.warm_max_states = max_states
-        self.shards = max(1, int(shards))
-        self.tables: Tuple[CompiledSystem, ...] = tuple(
-            tables
-            if tables is not None
-            else (CompiledSystem(s) for s in systems)
-        )
-        self.last_stats: Dict[str, float] = {}
-
-        # Warm every member with the vectorized engine; the warm data is
-        # everything explore() needs to answer fast members.
-        warm_reports = []
-        warm_widths: Dict[int, Tuple[int, ...]] = {}
-        for index, (system, table) in enumerate(
-            zip(self.systems, self.tables)
-        ):
-            report, _snapshot, stats = _explore_vectorized_core(
-                system, max_states, include_drops, True, table,
-                capture=False, resume_from=None, fingerprint="",
-                shards=self.shards,
-            )
-            warm_reports.append(report)
-            if stats is not None:
-                warm_widths[index] = stats["widths"]
-        self._warm_states = [r.states for r in warm_reports]
-        self._fast = [
-            i
-            for i, r in enumerate(warm_reports)
-            if r.all_safe and not r.truncated
-        ]
-        self._slow = [
-            i for i in range(len(self.systems)) if i not in set(self._fast)
-        ]
-        self._peaks = {i: warm_reports[i].peak_frontier for i in self._fast}
-        self._completed = frozenset(
-            i for i in self._fast if warm_reports[i].completion_reachable
-        )
-
-        # The per-member level-width matrix, padded with zeros: union
-        # frontier width at level k is the column sum over the members
-        # present, union depth is (max level count - 1) -- the exact
-        # values the batched family measures on its union loop.
-        self._widths = {i: warm_widths[i] for i in self._fast}
-        self._levels = {
-            i: len(self._widths[i]) for i in self._fast
-        }
-        if _resolve_np() is not None and self._fast:
-            max_levels = max(self._levels.values())
-            matrix = _np.zeros(
-                (len(self._fast), max_levels), dtype=_np.int64
-            )
-            for row, i in enumerate(self._fast):
-                widths = self._widths[i]
-                matrix[row, : len(widths)] = widths
-            self._width_matrix = matrix
-            self._width_row = {i: row for row, i in enumerate(self._fast)}
-        else:
-            self._width_matrix = None
-            self._width_row = {}
-
-        # Isomorphism classes for family-level reduction.
-        classes: Dict[Tuple[int, ...], List[int]] = {}
-        for i in self._fast:
-            signature = canonical_input_signature(
-                self.systems[i].input_sequence
-            )
-            classes.setdefault(signature, []).append(i)
-        self._classes = classes
-        self._share_identity: Dict[int, Tuple[int, ...]] = {
-            i: (i,) for i in self._fast
-        }
-        self._share_reduced: Dict[int, Tuple[int, ...]] = {
-            members[0]: tuple(members) for members in classes.values()
-        }
-
-        # Any budget at or above this answers every fast member; below
-        # it (or with slow members present) explore() falls back to the
-        # general share computation.
-        self._warm_ceiling = (
-            max(self._warm_states[i] for i in self._fast)
-            if self._fast
-            else 0
-        )
-        # Fully assembled per-representative report templates for the
-        # two standard calls; explore() only fills the timing fields.
-        self._plans = {
-            reduce: self._assembly_plan(
-                self._share_reduced if reduce else self._share_identity
-            )
-            for reduce in (False, True)
-        }
-
-    def _assembly_plan(self, share: Dict[int, Tuple[int, ...]]) -> dict:
-        """Precomputed assembly for one share map (see ``_explore``)."""
-        seeds = list(share)
-        templates = [
-            (
-                members,
-                {
-                    "states": self._warm_states[representative],
-                    "all_safe": True,
-                    "violation_path": None,
-                    "completion_reachable": representative in self._completed,
-                    "truncated": False,
-                    # Untruncated BFS expands every state exactly once.
-                    "expanded_states": self._warm_states[representative],
-                    "peak_frontier": self._peaks[representative],
-                },
-            )
-            for representative, members in share.items()
-        ]
-        depth, width = self._union_shape(seeds) if seeds else (0, 0)
-        return {
-            "seeds": seeds,
-            "swept": sum(len(members) for members in share.values()),
-            "total_states": sum(self._warm_states[i] for i in seeds),
-            "depth": depth,
-            "width": width,
-            "templates": templates,
-        }
-
-    # -- sweeps ----------------------------------------------------------
-
-    def explore(self, max_states: int = 1_000_000, reduce: bool = False):
-        """Reports for every member, in member order, from the warm arrays."""
-        if not obs.enabled():
-            return self._explore(max_states, reduce)
-        with obs.span(
-            "explore_family",
-            engine="vectorized",
-            systems=len(self.systems),
-            reduce=reduce,
-            shards=self.shards,
-        ) as _span:
-            reports = self._explore(max_states, reduce)
-            stats = self.last_stats
-            _span.set(
-                states=int(stats.get("states", 0)),
-                depth=int(stats.get("depth", 0)),
-                width=int(stats.get("width", 0)),
-            )
-            obs.add("explorer.searches", len(reports))
-            obs.add("explorer.compiled_searches", len(reports))
-            obs.add("explorer.states", sum(r.states for r in reports))
-            obs.add(
-                "explorer.expanded", sum(r.expanded_states for r in reports)
-            )
-            obs.gauge_set("frontier.depth", stats.get("depth", 0))
-            obs.gauge_set("frontier.width", stats.get("width", 0))
-            obs.gauge_set(
-                "frontier.reduction_ratio",
-                stats.get("reduction_ratio", 1.0),
-            )
-            obs.gauge_set("frontier.shards", self.shards)
-            return reports
-
-    def _union_shape(self, seeds: Sequence[int]) -> Tuple[int, int]:
-        """(depth, width) of the union BFS over ``seeds``, from the arrays."""
-        if self._width_matrix is not None:
-            rows = [self._width_row[i] for i in seeds]
-            sums = self._width_matrix[rows].sum(axis=0)
-            present = _np.flatnonzero(sums)
-            depth = int(present[-1]) if len(present) else 0
-            return depth, int(sums.max())
-        max_levels = max(self._levels[i] for i in seeds)
-        level_sums = [0] * max_levels
-        for i in seeds:
-            for level, width in enumerate(self._widths[i]):
-                level_sums[level] += width
-        return max_levels - 1, max(level_sums)
-
-    def _explore(self, max_states: int, reduce: bool):
-        from repro.verify.explorer import _explore_table
-
-        if max_states < 1:
-            raise VerificationError("max_states must be positive")
-        start = time.perf_counter()
-        n = len(self.systems)
-        reports: List[Optional[object]] = [None] * n
-        warm_states = self._warm_states
-
-        if not self._slow and max_states >= self._warm_ceiling:
-            # The standard call: every member is answered from the warm
-            # arrays, so everything but the clock is precomputed.
-            plan = self._plans[reduce]
-            seeds = plan["seeds"]
-            swept = plan["swept"]
-            depth = plan["depth"]
-            width = plan["width"]
-            total_states = plan["total_states"]
-            elapsed = time.perf_counter() - start
-            throughput = total_states / elapsed if elapsed > 0 else 0.0
-            cls = _report_cls()
-            new = cls.__new__
-            for members, template in plan["templates"]:
-                report = new(cls)
-                fields = report.__dict__
-                fields.update(template)
-                fields["elapsed_seconds"] = elapsed
-                fields["states_per_second"] = throughput
-                for member in members:
-                    reports[member] = report
-        else:
-            exact = set(self._slow)
-            for i in self._fast:
-                if max_states < warm_states[i]:
-                    exact.add(i)
-            if reduce:
-                share = {}
-                for members in self._classes.values():
-                    usable = tuple(i for i in members if i not in exact)
-                    if usable:
-                        share[usable[0]] = usable
-            else:
-                share = {i: (i,) for i in self._fast if i not in exact}
-            seeds = list(share)
-
-            swept = sum(len(members) for members in share.values())
-            depth = 0
-            width = 0
-            total_states = 0
-
-            if seeds:
-                depth, width = self._union_shape(seeds)
-                total_states = sum(warm_states[i] for i in seeds)
-                completed = self._completed
-                peaks = self._peaks
-                elapsed = time.perf_counter() - start
-                throughput = total_states / elapsed if elapsed > 0 else 0.0
-                for representative, members in share.items():
-                    count = warm_states[representative]
-                    report = _fast_report(
-                        states=count,
-                        all_safe=True,
-                        violation_path=None,
-                        completion_reachable=representative in completed,
-                        truncated=False,
-                        # Untruncated BFS expands every state exactly once.
-                        expanded_states=count,
-                        peak_frontier=peaks[representative],
-                        elapsed_seconds=elapsed,
-                        states_per_second=throughput,
-                    )
-                    for member in members:
-                        reports[member] = report
-
-            # Exact per-member path: unsafe / truncated-at-warm-up
-            # members, and fast members whose per-call budget undercuts
-            # their space.
-            for i in range(n):
-                if reports[i] is None:
-                    reports[i] = _explore_table(
-                        self.systems[i],
-                        max_states,
-                        self.include_drops,
-                        True,
-                        self.tables[i],
-                    )
-
-        reduction_ratio = (swept / len(seeds)) if seeds else 1.0
-        self.last_stats = {
-            "depth": depth,
-            "width": width,
-            "states": total_states,
-            "reduction_ratio": reduction_ratio,
-            "swept_members": swept,
-            "representatives": len(seeds),
-            "exact_members": n - swept,
-            "elapsed_seconds": time.perf_counter() - start,
-            "shards": self.shards,
-        }
-        return tuple(reports)
-
-
-def explore_family_vectorized(
-    systems: Sequence[System],
-    max_states: int = 1_000_000,
-    include_drops: bool = True,
-    reduce: bool = False,
-    tables: Optional[Sequence[CompiledSystem]] = None,
-    shards: int = 1,
-):
-    """One-shot :class:`VectorizedFamily` sweep (build + explore).
-
-    As with the batched family, repeated sweeps should build the
-    :class:`VectorizedFamily` once and call
-    :meth:`~VectorizedFamily.explore` per iteration -- construction pays
-    the vectorized warm-up the per-call assembly then amortizes away.
-    """
-    family = VectorizedFamily(
-        systems,
-        include_drops=include_drops,
-        tables=tables,
-        max_states=max_states,
-        shards=shards,
-    )
-    return family.explore(max_states=max_states, reduce=reduce)
+        import numpy  # noqa: F401
+    except ImportError:
+        return "python"
+    return "numpy"

@@ -35,10 +35,9 @@ The pipeline, end to end:
     seeded deterministic subsample.
 
 4.  **Multi-source BFS** over the compiled table, seeded with the whole
-    corrupt set at once, with ``L`` absorbing -- the engine twins
-    :func:`repro.kernel.frontier.explore_multi_source_batched` and
-    :func:`repro.kernel.vectorized.explore_multi_source_vectorized`
-    return the identical illegitimate reachable set.
+    corrupt set at once, with ``L`` absorbing
+    (:func:`repro.kernel.frontier.explore_multi_source_batched`), returns
+    the illegitimate reachable set.
 
 5.  **Verdicts.**  On that graph, an illegitimate state is a *trap* if
     no path from it reaches ``L``.  A source **stabilizes** iff it
@@ -50,7 +49,8 @@ The pipeline, end to end:
     the per-source "levels until legitimate" verdict.  Both are computed
     with two backward BFS passes over the reversed graph, so they are
     invariant under state-id renumbering: verdicts cannot depend on the
-    engine, backend, or shard count that produced the graph.
+    order the graph was discovered in, or on the shard count that
+    produced it.
 
 ``reduce=True`` collapses the corrupt initial set under
 :func:`repro.kernel.frontier.stabilization_state_key` (input-pinned
@@ -346,7 +346,7 @@ def _judge(
     *trap* -- a state with no path into the legitimate set at all.  Two
     backward BFS passes over the reversed graph; both quantities are
     graph-isomorphism invariants, which is what makes verdicts
-    engine-independent.
+    independent of state-id numbering.
     """
     reverse: Dict[int, List[int]] = {sid: [] for sid in adjacency}
     depth: Dict[int, int] = {}
@@ -406,13 +406,13 @@ class StabilizationResult:
             sources, depth-sorted.
         verdicts: ``((configuration, stabilizes, depth), ...)`` for every
             source, ``repr``-sorted -- the field the equivalence sweeps
-            compare bit-for-bit across engines and reduced/unreduced.
+            compare bit-for-bit across reduced/unreduced and sharded runs.
         non_stabilizing_examples: up to 5 witness configurations.
         converges: True iff every source stabilizes -- the protocol is
             self-stabilizing over this corrupt set.
         corrupt_fingerprint: digest of the enumerated corrupt set.
         corruption: the corruption mode analyzed.
-        engine / reduce / shards / sample / seed: how the run was made.
+        reduce / sample / seed: how the run was made.
         elapsed_seconds / states_per_second: timing.
     """
 
@@ -430,9 +430,7 @@ class StabilizationResult:
     converges: bool
     corrupt_fingerprint: str
     corruption: str
-    engine: str
     reduce: bool
-    shards: int
     sample: Optional[int]
     seed: int
     elapsed_seconds: float
@@ -453,9 +451,7 @@ class StabilizationResult:
             "converges": self.converges,
             "corrupt_fingerprint": self.corrupt_fingerprint,
             "corruption": self.corruption,
-            "engine": self.engine,
             "reduce": self.reduce,
-            "shards": self.shards,
             "sample": self.sample,
             "seed": self.seed,
         }
@@ -465,14 +461,9 @@ class StabilizationResult:
 # the analysis entry point
 # ---------------------------------------------------------------------------
 
-_ENGINES = ("scalar", "batched", "vectorized")
-
-
 def analyze_stabilization(
     system: System,
-    engine: str = "batched",
     reduce: bool = False,
-    shards: int = 1,
     sample: Optional[int] = None,
     seed: int = 0,
     max_states: int = 500_000,
@@ -483,9 +474,6 @@ def analyze_stabilization(
 ) -> StabilizationResult:
     """Exhaustive corrupted-start analysis of one system.
 
-    ``engine`` selects the multi-source BFS implementation ("scalar" is
-    accepted for CLI symmetry and delegates to the batched engine --
-    there is no per-state order for a set-seeded BFS to preserve);
     ``reduce`` explores one representative per symmetry class of the
     corrupt set and expands verdicts back to every member; ``sample``
     (with ``seed``) analyzes a seeded deterministic subsample of the
@@ -495,20 +483,14 @@ def analyze_stabilization(
     ``include_drops`` should stay True on lossy channels: explicit drop
     moves are how the corrupt in-flight garbage drains.
     """
-    if engine not in _ENGINES:
-        raise VerificationError(
-            f"unknown engine {engine!r}; known: {_ENGINES}"
-        )
     if not obs.enabled():
         return _analyze(
-            system, engine, reduce, shards, sample, seed, max_states,
+            system, reduce, sample, seed, max_states,
             channel_depth, include_drops, corruption, domain,
         )
-    with obs.span(
-        "stabilize", engine=engine, reduce=reduce, shards=shards
-    ) as span:
+    with obs.span("stabilize", reduce=reduce) as span:
         result = _analyze(
-            system, engine, reduce, shards, sample, seed, max_states,
+            system, reduce, sample, seed, max_states,
             channel_depth, include_drops, corruption, domain,
         )
         span.set(
@@ -605,9 +587,7 @@ def _prepare(
 
 def _analyze(
     system: System,
-    engine: str,
     reduce: bool,
-    shards: int,
     sample: Optional[int],
     seed: int,
     max_states: int,
@@ -621,87 +601,98 @@ def _analyze(
         system, sample, seed, max_states, channel_depth, include_drops,
         corruption, domain,
     )
+    verdicts, visited = _judge_sources(
+        prep, prep.class_of, prep.corrupt, reduce, max_states, include_drops
+    )
+    return _result(
+        verdicts,
+        sources=len(prep.corrupt),
+        classes=len(prep.class_of),
+        legitimate_states=len(prep.legitimate),
+        illegitimate_states=len(visited),
+        corrupt_fingerprint=prep.fingerprint,
+        corruption=corruption,
+        reduce=reduce,
+        sample=sample,
+        seed=seed,
+        elapsed=time.perf_counter() - start,
+    )
+
+
+def _judge_sources(
+    prep: _StabilizePrep,
+    classes: Dict[object, List[Configuration]],
+    members: Sequence[Configuration],
+    reduce: bool,
+    max_states: int,
+    include_drops: bool,
+    heartbeat=None,
+):
+    """``(verdicts, visited)`` for ``members`` (``repr``-sorted).
+
+    ``classes`` are the symmetry classes ``members`` is made of.  Under
+    ``reduce`` only each class's representative seeds the BFS and its
+    verdict stands for the whole class; otherwise every member seeds it.
+    ``visited`` is the illegitimate reachable set of the seeds.
+    """
     table = prep.table
-    legitimate = prep.legitimate
-    corrupt = prep.corrupt
-    fingerprint = prep.fingerprint
-    key_fn = prep.key_fn
-    class_of = prep.class_of
-    source_ids = prep.source_ids
-    classes = len(class_of)
-    if reduce:
-        bfs_configs = [members[0] for members in class_of.values()]
-    else:
-        bfs_configs = list(corrupt)
-    bfs_sources = [source_ids[config] for config in bfs_configs]
-
-    if engine == "vectorized":
-        from repro.kernel.vectorized import explore_multi_source_vectorized
-
-        visited, _widths = explore_multi_source_vectorized(
-            table, bfs_sources, legitimate,
-            max_states=max_states, include_drops=include_drops,
-            shards=shards,
-        )
-    else:  # "batched"; "scalar" delegates (order-free either way)
-        visited, _widths = explore_multi_source_batched(
-            table, bfs_sources, legitimate,
-            max_states=max_states, include_drops=include_drops,
-        )
-
+    seeds = [group[0] for group in classes.values()] if reduce else members
+    visited, _widths = explore_multi_source_batched(
+        table, [prep.source_ids[config] for config in seeds], prep.legitimate,
+        max_states=max_states, include_drops=include_drops,
+    )
+    if heartbeat is not None:
+        heartbeat()
     successor = (
         table.succ_row if include_drops else table.succ_row_without_drops
     )
     adjacency = {
         sid: tuple(sorted(set(successor(sid)))) for sid in sorted(visited)
     }
-    depth, doomed = _judge(adjacency, legitimate)
+    depth, doomed = _judge(adjacency, prep.legitimate)
 
-    def verdict_of(sid: int) -> Tuple[bool, Optional[int]]:
-        if sid in legitimate:
+    def verdict_of(config: Configuration) -> Tuple[bool, Optional[int]]:
+        sid = prep.source_ids[config]
+        if sid in prep.legitimate:
             return True, 0
         if sid in doomed:
             return False, None
         return True, depth[sid]
 
     if reduce:
-        representative_verdicts = {
-            key: verdict_of(source_ids[members[0]])
-            for key, members in class_of.items()
-        }
+        by_class = {key: verdict_of(group[0]) for key, group in classes.items()}
         verdicts = tuple(
-            (config, *representative_verdicts[key_fn(config)])
-            for config in corrupt
+            (config, *by_class[prep.key_fn(config)]) for config in members
         )
     else:
-        verdicts = tuple(
-            (config, *verdict_of(source_ids[config])) for config in corrupt
-        )
+        verdicts = tuple((config, *verdict_of(config)) for config in members)
+    return verdicts, visited
 
+
+def _result(
+    verdicts, *, sources, classes, legitimate_states, illegitimate_states,
+    corrupt_fingerprint, corruption, reduce, sample, seed, elapsed,
+) -> StabilizationResult:
+    """Assemble the verdict sheet's summary fields into a result."""
     stabilizing_depths = [d for _, ok, d in verdicts if ok]
-    histogram = tuple(sorted(Counter(stabilizing_depths).items()))
     non_stabilizing = [config for config, ok, _ in verdicts if not ok]
-    explored = len(legitimate) + len(visited)
-    elapsed = time.perf_counter() - start
-
+    explored = legitimate_states + illegitimate_states
     return StabilizationResult(
-        sources=len(corrupt),
+        sources=sources,
         classes=classes,
-        reduction_ratio=(len(corrupt) / classes) if classes else 1.0,
-        legitimate_states=len(legitimate),
+        reduction_ratio=(sources / classes) if classes else 1.0,
+        legitimate_states=legitimate_states,
         explored_states=explored,
         stabilizing=len(stabilizing_depths),
         non_stabilizing=len(non_stabilizing),
         max_depth=max(stabilizing_depths) if stabilizing_depths else None,
-        depth_histogram=histogram,
+        depth_histogram=tuple(sorted(Counter(stabilizing_depths).items())),
         verdicts=verdicts,
         non_stabilizing_examples=tuple(non_stabilizing[:5]),
         converges=not non_stabilizing,
-        corrupt_fingerprint=fingerprint,
+        corrupt_fingerprint=corrupt_fingerprint,
         corruption=corruption,
-        engine=engine,
         reduce=reduce,
-        shards=shards,
         sample=sample,
         seed=seed,
         elapsed_seconds=elapsed,
@@ -810,51 +801,12 @@ def analyze_stabilization_shard(
     members_sorted = sorted(
         (config for members in mine.values() for config in members), key=repr
     )
-    if reduce:
-        bfs_configs = [members[0] for members in mine.values()]
-    else:
-        bfs_configs = members_sorted
-    bfs_sources = [prep.source_ids[config] for config in bfs_configs]
-
-    compiled = prep.table
-    visited, _widths = explore_multi_source_batched(
-        compiled, bfs_sources, prep.legitimate,
-        max_states=max_states, include_drops=include_drops,
+    verdicts, visited = _judge_sources(
+        prep, mine, members_sorted, reduce, max_states, include_drops,
+        heartbeat=heartbeat,
     )
-    if heartbeat is not None:
-        heartbeat()
-
-    successor = (
-        compiled.succ_row if include_drops else compiled.succ_row_without_drops
-    )
-    adjacency = {
-        sid: tuple(sorted(set(successor(sid)))) for sid in sorted(visited)
-    }
-    depth, doomed = _judge(adjacency, prep.legitimate)
-
-    def verdict_of(sid: int) -> Tuple[bool, Optional[int]]:
-        if sid in prep.legitimate:
-            return True, 0
-        if sid in doomed:
-            return False, None
-        return True, depth[sid]
-
-    if reduce:
-        representative_verdicts = {
-            key: verdict_of(prep.source_ids[members[0]])
-            for key, members in mine.items()
-        }
-        verdicts = tuple(
-            (config, *representative_verdicts[prep.key_fn(config)])
-            for config in members_sorted
-        )
-    else:
-        verdicts = tuple(
-            (config, *verdict_of(prep.source_ids[config]))
-            for config in members_sorted
-        )
     digests = frozenset(
-        _config_digest(compiled.config_of(sid)) for sid in visited
+        _config_digest(prep.table.config_of(sid)) for sid in visited
     )
     return StabilizationShard(
         shard_index=shard_index,
@@ -931,35 +883,18 @@ def merge_stabilization_shards(
     visited_union: FrozenSet[bytes] = frozenset().union(
         *(shard.visited_digests for shard in ordered)
     )
-    stabilizing_depths = [d for _, ok, d in verdicts if ok]
-    histogram = tuple(sorted(Counter(stabilizing_depths).items()))
-    non_stabilizing = [config for config, ok, _ in verdicts if not ok]
-    explored = first.legitimate_states + len(visited_union)
-    elapsed = sum(shard.elapsed_seconds for shard in ordered)
-    return StabilizationResult(
+    return _result(
+        verdicts,
         sources=first.sources,
         classes=first.classes,
-        reduction_ratio=(
-            first.sources / first.classes if first.classes else 1.0
-        ),
         legitimate_states=first.legitimate_states,
-        explored_states=explored,
-        stabilizing=len(stabilizing_depths),
-        non_stabilizing=len(non_stabilizing),
-        max_depth=max(stabilizing_depths) if stabilizing_depths else None,
-        depth_histogram=histogram,
-        verdicts=verdicts,
-        non_stabilizing_examples=tuple(non_stabilizing[:5]),
-        converges=not non_stabilizing,
+        illegitimate_states=len(visited_union),
         corrupt_fingerprint=first.corrupt_fingerprint,
         corruption=first.corruption,
-        engine="batched",
         reduce=first.reduce,
-        shards=1,
         sample=first.sample,
         seed=first.seed,
-        elapsed_seconds=elapsed,
-        states_per_second=explored / elapsed if elapsed > 0 else 0.0,
+        elapsed=sum(shard.elapsed_seconds for shard in ordered),
     )
 
 

@@ -30,14 +30,12 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.analysis.cache import ENGINES
 from repro.service.protocol import (
     VERIFY_KINDS,
     BadRequest,
     BudgetExceeded,
 )
-
-#: Engines a request may name (validated at parse time).
-ENGINES = ("scalar", "batched", "vectorized")
 
 
 @dataclass(frozen=True)
@@ -65,6 +63,21 @@ def _field(params: Dict[str, object], name: str, default, types) -> object:
     if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
         raise BadRequest(
             f"parameter {name!r} must be {types!r}, got {value!r}", field=name
+        )
+    return value
+
+
+def _optional_count(
+    params: Dict[str, object], name: str, minimum: int
+) -> Optional[int]:
+    """``params[name]`` as null or a non-bool integer ``>= minimum``."""
+    value = params.get(name)
+    if value is None:
+        return None
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise BadRequest(
+            f"{name} must be null or an integer >= {minimum}, got {value!r}",
+            field=name,
         )
     return value
 
@@ -262,7 +275,11 @@ class ExploreRequest:
 
 @dataclass(frozen=True)
 class StabilizeRequest:
-    """Corrupted-start stabilization analysis of one system."""
+    """Corrupted-start stabilization analysis of one system.
+
+    ``engine`` is validated at the front door for wire compatibility but
+    selects nothing: there is one multi-source BFS.
+    """
 
     protocol: str
     channel: str
@@ -311,6 +328,8 @@ class StabilizeRequest:
                 known=list(CORRUPTION_MODES),
             )
         max_states = int(_field(params, "max_states", 100_000, int))
+        if max_states < 1:
+            raise BadRequest("max_states must be >= 1", field="max_states")
         if max_states > limits.max_states:
             raise BudgetExceeded(
                 f"max_states {max_states} exceeds the server cap "
@@ -321,17 +340,9 @@ class StabilizeRequest:
             )
         items = _items(params)
         extra = _items(params, "domain")
-        channel_depth = params.get("channel_depth")
-        if channel_depth is not None and not isinstance(channel_depth, int):
-            raise BadRequest(
-                "channel_depth must be an integer or null",
-                field="channel_depth",
-            )
-        sample = params.get("sample")
-        if sample is not None and not isinstance(sample, int):
-            raise BadRequest(
-                "sample must be an integer or null", field="sample"
-            )
+        capacity = int(_field(params, "capacity", 1, int))
+        if capacity < 1:
+            raise BadRequest("capacity must be >= 1", field="capacity")
         request = cls(
             protocol=str(_field(params, "protocol", "ss-arq", str)),
             channel=str(_field(params, "channel", "lossy-fifo", str)),
@@ -340,12 +351,12 @@ class StabilizeRequest:
             max_states=max_states,
             include_drops=bool(_field(params, "include_drops", True, bool)),
             corruption=str(corruption),
-            channel_depth=channel_depth,
-            sample=sample,
+            channel_depth=_optional_count(params, "channel_depth", 0),
+            sample=_optional_count(params, "sample", 1),
             seed=int(_field(params, "seed", 0, int)),
             engine=str(engine),
             reduce=bool(_field(params, "reduce", False, bool)),
-            capacity=int(_field(params, "capacity", 1, int)),
+            capacity=capacity,
         )
         request.system()
         return request
@@ -424,7 +435,6 @@ class StabilizeRequest:
             result = cached_stabilize(
                 self.system(),
                 cache=cache,
-                engine=self.engine,
                 reduce=self.reduce,
                 sample=self.sample,
                 seed=self.seed,
@@ -449,17 +459,11 @@ class StabilizeRequest:
         return self.outcome(result)
 
     def outcome(self, result) -> Dict[str, object]:
-        """The engine-independent projection of a stabilization result.
+        """The JSON projection of a stabilization result.
 
-        ``engine`` and ``shards`` are execution details excluded from
-        the report key, so they are stripped here too -- coalesced
-        requests naming different engines still read identical bytes.
         A non-stabilizing protocol is a *finding*, not an error.
         """
-        payload = dict(result.summary())
-        payload.pop("engine", None)
-        payload.pop("shards", None)
-        return payload
+        return dict(result.summary())
 
 
 @dataclass(frozen=True)

@@ -35,14 +35,7 @@ from repro.kernel.frontier import (
     explore_multi_source_batched,
     stabilization_state_key,
 )
-from repro.kernel.vectorized import (
-    VectorizedFamily,
-    explore_family_vectorized,
-    explore_multi_source_vectorized,
-    explore_vectorized,
-    explore_vectorized_resumable,
-    vectorized_backend,
-)
+from repro.kernel.vectorized import vectorized_backend
 from repro.verify.deadlock import (
     assert_outage_recoverable,
     find_liveness_trap,
@@ -74,11 +67,6 @@ __all__ = [
     "explore_family_batched",
     "explore_multi_source_batched",
     "stabilization_state_key",
-    "VectorizedFamily",
-    "explore_family_vectorized",
-    "explore_multi_source_vectorized",
-    "explore_vectorized",
-    "explore_vectorized_resumable",
     "vectorized_backend",
     "assert_outage_recoverable",
     "find_liveness_trap",

@@ -195,8 +195,9 @@ class TestEngineAwareCachedExplore:
         assert stored.fingerprint == base
 
     def test_engine_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="engine"):
-            cached_explore(build_system(), engine="warp")
+        for engine in ("warp", "vectorized"):
+            with pytest.raises(ValueError, match="engine"):
+                cached_explore(build_system(), engine=engine)
         with pytest.raises(ValueError, match="reduce"):
             cached_explore(build_system(), reduce=True)
 

@@ -51,6 +51,21 @@ class TestNoDoubleCount:
     def test_batched_engine(self):
         self.assert_single_search(explore_batched)
 
+    def test_batched_clean_search_counts_once(self):
+        sender, receiver = protocol_by_name("norepeat", ("a", "b"), 2)
+        system = System(
+            sender,
+            receiver,
+            channel_by_name("dup"),
+            channel_by_name("dup"),
+            ("a", "b"),
+        )
+        with obs.scoped() as (_, registry):
+            report = explore_batched(system)
+            assert report.all_safe
+            assert counter(registry, "explorer.searches") == 1
+            assert counter(registry, "explorer.states") == report.states
+
 
 class TestFrontierGauges:
     def test_batched_run_emits_depth_and_width(self):

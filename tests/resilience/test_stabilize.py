@@ -2,12 +2,10 @@
 
 Three layers of evidence:
 
-* **Engine equivalence** -- the per-source stabilization verdicts are
-  bit-identical across the batched and vectorized multi-source BFS
-  engines, both vectorized array backends, every shard count, and
-  reduced vs. unreduced corrupt initial sets.  Verdicts are computed as
-  graph-isomorphism invariants, so any divergence here is a bug in an
-  engine, not a modelling choice.
+* **Reduction equivalence** -- the per-source stabilization verdicts
+  are bit-identical across reduced vs. unreduced corrupt initial sets.
+  Verdicts are computed as graph-isomorphism invariants, so any
+  divergence here is a bug in the search, not a modelling choice.
 * **The qualitative split** the workload family exists to show: the
   self-stabilizing ARQ converges from *every* corrupt start (finite max
   depth), while plain ABP has corrupt starts it can never recover from
@@ -28,7 +26,6 @@ from repro.analysis.cache import ResultCache, cached_stabilize
 from repro.analysis.campaign import Campaign
 from repro.adversaries import EagerAdversary
 from repro.channels import LossyFifoChannel
-from repro.kernel import vectorized
 from repro.kernel.errors import VerificationError
 from repro.kernel.rng import DeterministicRNG
 from repro.kernel.system import System
@@ -75,61 +72,17 @@ def invariants(result):
     )
 
 
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the vectorized engine on each array backend (see
-    tests/verify/test_frontier_equivalence.py)."""
-    if request.param == "numpy" and vectorized._resolve_np() is None:
-        pytest.skip("numpy not installed")
-    if request.param == "python":
-        monkeypatch.setattr(vectorized, "_np", None)
-    return request.param
-
-
-SHARD_COUNTS = (1, 3)
 PROTOCOLS = ("abp", "ss-arq")
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 class TestEngineEquivalence:
     def test_batched_reduced_and_scalar_match(self, protocol):
-        baseline = analyze_stabilization(
-            build_system(protocol), engine="batched", domain=DOMAIN
-        )
+        baseline = analyze_stabilization(build_system(protocol), domain=DOMAIN)
         reduced = analyze_stabilization(
-            build_system(protocol),
-            engine="batched",
-            reduce=True,
-            domain=DOMAIN,
+            build_system(protocol), reduce=True, domain=DOMAIN
         )
         assert invariants(reduced) == invariants(baseline)
-        # "scalar" delegates to the batched engine (a set-seeded BFS has
-        # no per-state order to preserve) but must stay accepted.
-        scalar = analyze_stabilization(
-            build_system(protocol), engine="scalar", domain=DOMAIN
-        )
-        assert invariants(scalar) == invariants(baseline)
-
-    def test_vectorized_matches_batched_across_shards(
-        self, protocol, backend
-    ):
-        baseline = analyze_stabilization(
-            build_system(protocol), engine="batched", domain=DOMAIN
-        )
-        for reduce in (False, True):
-            for shards in SHARD_COUNTS:
-                fast = analyze_stabilization(
-                    build_system(protocol),
-                    engine="vectorized",
-                    reduce=reduce,
-                    shards=shards,
-                    domain=DOMAIN,
-                )
-                assert invariants(fast) == invariants(baseline), (
-                    reduce,
-                    shards,
-                    backend,
-                )
 
 
 class TestVerdicts:
@@ -196,8 +149,6 @@ class TestVerdicts:
 
     def test_validation(self):
         with pytest.raises(VerificationError):
-            analyze_stabilization(build_system("abp"), engine="warp")
-        with pytest.raises(VerificationError):
             analyze_stabilization(build_system("abp"), corruption="partial")
         with pytest.raises(VerificationError):
             # Truncated graphs would judge unsoundly; the budget refuses.
@@ -225,21 +176,18 @@ class TestCorruptSet:
 
 
 class TestCache:
-    def test_round_trip_restamps_engine_and_shards(self, tmp_path):
+    def test_round_trip_returns_the_stored_result(self, tmp_path):
         cache = ResultCache(tmp_path)
         cold = cached_stabilize(build_system("abp"), cache=cache, domain=DOMAIN)
         assert cache.misses == 1
-        warm = cached_stabilize(
-            build_system("abp"),
-            cache=cache,
-            engine="vectorized",
-            shards=3,
-            domain=DOMAIN,
-        )
+        warm = cached_stabilize(build_system("abp"), cache=cache, domain=DOMAIN)
         assert cache.hits == 1
-        assert invariants(warm) == invariants(cold)
-        assert warm.engine == "vectorized"
-        assert warm.shards == 3
+        # A hit is the stored result verbatim, timing included.
+        assert warm == cold
+
+    def test_unknown_engine_is_rejected(self):
+        with pytest.raises(ValueError, match="engine"):
+            cached_stabilize(build_system("abp"), engine="vectorized")
 
     def test_corruption_mode_changes_the_key(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -79,6 +79,65 @@ def test_unknown_corruption_mode_is_bad_request():
     assert "full" in info.value.details["known"]
 
 
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("explore", {"protocol": "norepeat", "channel": "dup"}),
+        ("stabilize", {"protocol": "ss-arq", "channel": "lossy-fifo"}),
+    ],
+    ids=["explore", "stabilize"],
+)
+def test_vectorized_engine_is_bad_request(kind, params):
+    with pytest.raises(BadRequest) as info:
+        _parse(kind, input="a,b", engine="vectorized", **params)
+    assert info.value.code == "bad_request"
+    assert info.value.details["field"] == "engine"
+    assert info.value.details["known"] == ["scalar", "batched"]
+
+
+def _stabilize(**params):
+    return _parse(
+        "stabilize", protocol="ss-arq", channel="lossy-fifo", input="a,b",
+        **params,
+    )
+
+
+def _stabilize_rejects(field, **params):
+    with pytest.raises(BadRequest) as info:
+        _stabilize(**params)
+    assert info.value.details["field"] == field
+    return info.value
+
+
+def test_stabilize_zero_max_states_is_bad_request():
+    _stabilize_rejects("max_states", max_states=0)
+
+
+@pytest.mark.parametrize("sample", [0, -3, True])
+def test_stabilize_non_positive_sample_is_bad_request(sample):
+    _stabilize_rejects("sample", sample=sample)
+
+
+def test_stabilize_negative_channel_depth_is_bad_request():
+    _stabilize_rejects("channel_depth", channel_depth=-1)
+
+
+def test_stabilize_bool_channel_depth_is_bad_request():
+    _stabilize_rejects("channel_depth", channel_depth=True)
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_stabilize_non_positive_capacity_is_bad_request(capacity):
+    error = _stabilize_rejects("capacity", capacity=capacity)
+    assert "channel" not in str(error)
+
+
+def test_stabilize_boundary_values_are_accepted():
+    request = _stabilize(max_states=1, sample=1, channel_depth=0, capacity=1)
+    assert (request.sample, request.channel_depth) == (1, 0)
+    assert _stabilize(sample=None, channel_depth=None).sample is None
+
+
 def test_campaign_without_spec_is_bad_request():
     with pytest.raises(BadRequest, match="spec"):
         _parse("campaign", rng_seed=0)

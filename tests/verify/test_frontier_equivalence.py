@@ -1,4 +1,4 @@
-"""Property sweep: the frontier engines match the scalar one.
+"""Property sweep: the batched frontier engine matches the scalar one.
 
 Contracts, each swept over every registered protocol crossed with every
 registered channel and a family of small inputs:
@@ -7,18 +7,13 @@ registered channel and a family of small inputs:
   :func:`explore_compiled` in every non-timing field, including under
   truncating budgets (the order-sensitive cases delegate to the scalar
   engine, so even violation paths match);
-* :func:`explore_vectorized` is bit-identical too, on **both** array
-  backends (numpy and the pure-python fallback) and at every shard
-  count -- sharding and representation may change the schedule, never
-  the report;
 * symmetry reduction (``reduce=True``) never changes the Safety /
   completion verdicts, only the state *count* (concrete states collapse
   to canonical classes);
-* :class:`FrontierFamily`'s and :class:`VectorizedFamily`'s union
-  sweeps answer a whole input family with the same per-member reports
-  as member-at-a-time scalar sweeps.
+* :class:`FrontierFamily`'s union sweep answers a whole input family
+  with the same per-member reports as member-at-a-time scalar sweeps.
 
-This is the soundness evidence behind using the frontier engines for
+This is the soundness evidence behind using the frontier engine for
 the paper's exhaustive T2/T4 verification columns.
 """
 
@@ -34,18 +29,15 @@ from repro.channels import (
     channel_by_name,
     channel_names,
 )
-from repro.kernel import vectorized
 from repro.kernel.system import System
 from repro.protocols import protocol_by_name, protocol_names
 from repro.protocols.norepeat import norepeat_protocol
 from repro.protocols.norepeat_del import bounded_del_protocol
 from repro.verify import (
     FrontierFamily,
-    VectorizedFamily,
     canonical_input_signature,
     explore_batched,
     explore_compiled,
-    explore_vectorized,
 )
 from repro.workloads import repetition_free_family
 
@@ -116,51 +108,6 @@ class TestBatchedEquivalence:
         if not scalar.truncated and not reduced.truncated:
             # Quotienting can only merge states, never invent them.
             assert reduced.states <= scalar.states
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the vectorized engine on each array backend.
-
-    The ``python`` parameter simulates a numpy-less install by clearing
-    the module's optional import, which is exactly the switch the engine
-    itself consults.
-    """
-    if request.param == "numpy" and vectorized._resolve_np() is None:
-        pytest.skip("numpy not installed")
-    if request.param == "python":
-        monkeypatch.setattr(vectorized, "_np", None)
-    return request.param
-
-
-SHARD_COUNTS = (1, 3)
-
-
-@pytest.mark.parametrize(
-    "protocol,channel,input_sequence",
-    GRID,
-    ids=[f"{p}-{c}-{len(i)}" for p, c, i in GRID],
-)
-class TestVectorizedEquivalence:
-    def test_unreduced_reports_bit_identical(
-        self, protocol, channel, input_sequence, backend
-    ):
-        for budget in BUDGETS:
-            scalar = explore_compiled(
-                build_system(protocol, channel, input_sequence),
-                max_states=budget,
-            )
-            for shards in SHARD_COUNTS:
-                fast = explore_vectorized(
-                    build_system(protocol, channel, input_sequence),
-                    max_states=budget,
-                    shards=shards,
-                )
-                assert strip_timing(fast) == strip_timing(scalar), (
-                    budget,
-                    shards,
-                    backend,
-                )
 
 
 def _t2_family(m: int):
@@ -239,51 +186,3 @@ class TestFrontierFamily:
             for system in systems
         }
         assert family_engine.last_stats["representatives"] == len(signatures)
-
-
-class TestVectorizedFamily:
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_union_sweep_bit_identical_to_scalar(self, backend, shards):
-        systems = _t2_family(3)
-        scalar = [
-            explore_compiled(system, store_parents=False)
-            for system in systems
-        ]
-        fast = VectorizedFamily(systems, shards=shards).explore()
-        assert len(fast) == len(scalar)
-        for vec, base in zip(fast, scalar):
-            assert strip_timing(vec) == strip_timing(base)
-
-    def test_union_sweep_respects_budget(self, backend):
-        systems = _t2_family(2)
-        budget = 4
-        scalar = [
-            explore_compiled(system, max_states=budget) for system in systems
-        ]
-        fast = VectorizedFamily(systems).explore(max_states=budget)
-        for vec, base in zip(fast, scalar):
-            assert strip_timing(vec) == strip_timing(base)
-
-    @pytest.mark.parametrize("family", [_t2_family, _t4_family], ids=["T2", "T4"])
-    def test_reduction_preserves_family_verdicts(self, backend, family):
-        systems = family(3)
-        family_engine = VectorizedFamily(systems)
-        scalar = [
-            explore_compiled(system, store_parents=False)
-            for system in systems
-        ]
-        reduced = family_engine.explore(reduce=True)
-        for fast, base in zip(reduced, scalar):
-            assert fast.all_safe == base.all_safe
-            assert fast.completion_reachable == base.completion_reachable
-            assert fast.states == base.states  # renamed twin, same shape
-        assert family_engine.last_stats["reduction_ratio"] > 1.0
-
-    def test_family_stats_match_batched_engine(self, backend):
-        systems = _t2_family(3)
-        batched = FrontierFamily(systems)
-        batched.explore()
-        vector = VectorizedFamily(systems)
-        vector.explore()
-        for key in ("depth", "width", "states", "swept_members"):
-            assert vector.last_stats[key] == batched.last_stats[key], key

@@ -16,7 +16,6 @@ from dataclasses import replace
 import pytest
 
 from repro.channels import DuplicatingChannel
-from repro.kernel import vectorized
 from repro.kernel.errors import VerificationError
 from repro.kernel.system import System
 from repro.protocols.norepeat import norepeat_protocol
@@ -25,7 +24,6 @@ from repro.verify import (
     FrontierSnapshot,
     explore_batched_resumable,
     explore_compiled,
-    explore_vectorized_resumable,
 )
 
 
@@ -96,73 +94,6 @@ class TestResume:
         )
         fresh = explore_compiled(build_system())
         assert strip_timing(report) == strip_timing(fresh)
-
-
-class TestCrossEngineResume:
-    """Batched and vectorized captures are interchangeable.
-
-    Both engines cut at level boundaries where the BFS state is
-    order-free, and both record python-int visited sets, so a snapshot
-    captured by either must resume on the other -- including the digest
-    lineage, which chains across the handoff.
-    """
-
-    def test_alternating_budget_ladder_is_bit_identical(self):
-        system = build_system()
-        snapshot = None
-        engines = (
-            explore_vectorized_resumable,
-            explore_batched_resumable,
-        )
-        for step, budget in enumerate((3, 7, 13, 10_000)):
-            resume = engines[step % 2]
-            report, snapshot = resume(
-                build_system(), max_states=budget, resume_from=snapshot
-            )
-            fresh = explore_compiled(system, max_states=budget)
-            assert strip_timing(report) == strip_timing(fresh), budget
-            assert snapshot is not None and snapshot.verify()
-        assert not snapshot.truncated
-
-    def test_lineage_digests_agree_across_engines(self):
-        ladder = (3, 7, 10_000)
-
-        def chain(resume):
-            snapshot = None
-            for budget in ladder:
-                _, snapshot = resume(
-                    build_system(), max_states=budget, resume_from=snapshot
-                )
-            return snapshot.lineage
-
-        assert chain(explore_batched_resumable) == chain(
-            explore_vectorized_resumable
-        )
-
-    def test_python_backend_resumes_numpy_capture(self, monkeypatch):
-        _, snapshot = explore_vectorized_resumable(
-            build_system(), max_states=5
-        )
-        monkeypatch.setattr(vectorized, "_np", None)
-        report, _ = explore_vectorized_resumable(
-            build_system(), resume_from=snapshot
-        )
-        fresh = explore_compiled(build_system())
-        assert strip_timing(report) == strip_timing(fresh)
-
-    def test_vectorized_refusals_match_batched(self):
-        _, snapshot = explore_vectorized_resumable(
-            build_system(), max_states=5
-        )
-        alien = dataclasses.replace(snapshot, schema="stp-frontier/999")
-        with pytest.raises(VerificationError, match="snapshot"):
-            explore_vectorized_resumable(build_system(), resume_from=alien)
-        with pytest.raises(VerificationError, match="include_drops"):
-            explore_vectorized_resumable(
-                build_system(),
-                include_drops=False,
-                resume_from=snapshot,
-            )
 
 
 class TestIntegrity:
