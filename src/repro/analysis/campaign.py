@@ -16,24 +16,27 @@ API makes the same sweeps one-liners for downstream users:
     outcome = campaign.run(DeterministicRNG(0))
     assert outcome.all_safe and outcome.all_completed
 
-Campaigns parallelize: ``Campaign(..., workers=4)`` shards the
-inputs x seeds grid over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+Campaigns parallelize: ``Campaign(..., workers=4)`` runs the cache-miss
+cells of the inputs x seeds grid in four long-lived supervised children
+(:func:`repro.resilience.runner.supervise_cells`, the loop
+:class:`~repro.resilience.runner.ResilientRunner` drives too).
 Parallel outcomes are **bit-identical** to serial ones because every run's
 randomness derives solely from the campaign RNG and the run's own
 ``(input, seed)`` key (never from execution order), and results are
-reassembled in grid order before aggregation.  The pool uses the ``fork``
-start method so arbitrary protocol objects, channel factories, and
-adversary-factory closures need never be pickled -- workers inherit the
-campaign by memory snapshot; platforms without ``fork`` fall back to the
-serial path (same results, no speedup).
+reassembled in grid order before aggregation.  Children are forked, so
+arbitrary protocol objects, channel factories, and adversary-factory
+closures need never be pickled -- they inherit the campaign by memory
+snapshot; platforms without ``fork`` fall back to the serial path (same
+results, no speedup).  A cell that raises in a child fails the sweep
+with a :class:`~repro.kernel.errors.VerificationError` naming the cell
+and the original error.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.analysis.cache import ResultCache, fingerprint
@@ -45,7 +48,7 @@ from repro.kernel.simulator import Simulator, simulate_compiled
 from repro.kernel.system import System
 
 # Minimum grid cells per worker before forking pays for itself: below
-# this, pool start-up and dispatch overhead outweigh the win and the
+# this, child start-up and dispatch overhead outweigh the win and the
 # campaign silently runs serially (same results either way).
 _MIN_CHUNK = 4
 
@@ -78,36 +81,9 @@ class CampaignOutcome:
         return self.summary.completed == self.summary.runs
 
 
-# The campaign being executed by pool workers.  Set (with its RNG) just
-# before the fork-based pool spawns, inherited by the children's memory
-# snapshot, and cleared afterwards; worker tasks then only need the
-# picklable (input, seed) key.
-_WORKER_CONTEXT: Optional[Tuple["Campaign", DeterministicRNG]] = None
-
-
-def _pool_run_chunk(
-    keys: Sequence[Tuple[Tuple, int]]
-) -> Tuple[List[RunMetrics], Optional[dict]]:
-    """Execute a whole chunk of grid cells in one pool task.
-
-    Submitting chunks (rather than one task per run) cuts the per-task
-    pickle/dispatch round-trips to ``O(chunks)`` instead of ``O(runs)`` --
-    the overhead that made fine-grained grids slower in parallel than
-    serial.
-
-    Beside the metrics, the chunk ships back the child's observability
-    delta (spans and metric increments accumulated since the chunk
-    started); the parent merges deltas in chunk order, so the registry
-    ends bit-identical to a serial sweep.  ``None`` when observability
-    is disabled.
-    """
-    campaign, rng = _WORKER_CONTEXT
-    cut = obs.mark()
-    measured = [
-        campaign._single_run(rng, input_sequence, seed)
-        for input_sequence, seed in keys
-    ]
-    return measured, obs.delta_since(cut)
+def _raise_failure(key, attempt, failure, elapsed):
+    """Stop a parallel sweep at its first failed cell, as a serial one stops."""
+    raise failure
 
 
 @dataclass
@@ -182,8 +158,16 @@ class Campaign:
             pending = list(enumerate(keys))
         if pending:
             pending_keys = [key for _, key in pending]
-            if self._effective_workers(len(pending_keys)) > 1:
-                computed = self._run_parallel(rng, pending_keys)
+            workers = self._effective_workers(len(pending_keys))
+            if workers > 1:
+                from repro.resilience.runner import supervise_cells
+
+                done: Dict[Tuple[Tuple, int], RunMetrics] = {}
+                supervise_cells(
+                    self, rng, pending_keys, workers, done.__setitem__,
+                    _raise_failure,
+                )
+                computed = [done[key] for key in pending_keys]
             else:
                 computed = [
                     self._single_run(rng, input_sequence, seed)
@@ -239,9 +223,6 @@ class Campaign:
             input_sequence,
             seed,
         )
-
-    # Backwards-compatible alias (pre-fabric internal name).
-    _run_key = run_key
 
     def run_resilient(self, rng: DeterministicRNG, **runner_options):
         """Execute the sweep under the self-healing supervised runner.
@@ -321,44 +302,7 @@ class Campaign:
 
         if available_cpu_count() <= 1:
             return 1
-        # Tiny grids cannot amortize pool start-up.
+        # Tiny grids cannot amortize child start-up.
         if grid_size < self.workers * _MIN_CHUNK:
             return 1
         return min(self.workers, grid_size)
-
-    def _run_parallel(
-        self, rng: DeterministicRNG, keys: List[Tuple[Tuple, int]]
-    ) -> List[RunMetrics]:
-        global _WORKER_CONTEXT
-        workers = self._effective_workers(len(keys))
-        context = multiprocessing.get_context("fork")
-        # Submit chunks, not runs: ~4 tasks per worker keeps dispatch
-        # overhead at O(chunks) while leaving enough tasks for the pool
-        # to balance a ragged tail.
-        chunksize = max(1, len(keys) // (workers * 4))
-        chunks = [
-            keys[start : start + chunksize]
-            for start in range(0, len(keys), chunksize)
-        ]
-        if obs.enabled():
-            # Fork-pool shape gauges (high-water semantics under merge).
-            obs.gauge_set("campaign.pool.workers", workers)
-            obs.gauge_set("campaign.pool.queue_depth", len(chunks))
-            obs.gauge_set("campaign.pool.chunk_size", chunksize)
-        _WORKER_CONTEXT = (self, rng)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=context
-            ) as pool:
-                # Executor.map preserves input order, so flattening the
-                # chunk results restores exact grid order no matter which
-                # worker ran which chunk.  Each chunk ships its child's
-                # observability delta; merging in this same order keeps
-                # the parent registry bit-identical to a serial sweep.
-                flattened: List[RunMetrics] = []
-                for chunk, delta in pool.map(_pool_run_chunk, chunks):
-                    obs.merge(delta)
-                    flattened.extend(chunk)
-                return flattened
-        finally:
-            _WORKER_CONTEXT = None

@@ -162,7 +162,7 @@ def mark() -> Optional[ObsMark]:
 def delta_since(cut: Optional[ObsMark]) -> Optional[ObsDelta]:
     """Everything collected after ``cut``, as a picklable plain-dict delta.
 
-    Children of a fork pool call this at the end of their task and ship
+    Forked children call this at the end of their task and ship
     the result back beside their payload; ``None`` (disabled, or nothing
     new) means there is nothing to merge.
     """

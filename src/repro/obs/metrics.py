@@ -1,13 +1,13 @@
 """The process-wide metrics registry: counters, gauges, histograms.
 
 Counts that matter to the performance trajectory -- states explored,
-cache hits and misses, fork-pool queue depth, retry counts, recovery
+cache hits and misses, supervised children in flight, retry counts, recovery
 steps -- accumulate here instead of being scraped post-hoc out of traces
 and reports.  Three instrument kinds:
 
 * :class:`Counter` -- a monotone integer sum (``states explored``);
 * :class:`Gauge` -- a level with high-water semantics under merge
-  (``fork-pool queue depth``): merging takes the max, so a parallel
+  (``children in flight``): merging takes the max, so a parallel
   sweep reports the same high-water mark no matter which worker saw it;
 * :class:`Histogram` -- a fixed-bucket distribution with exact count /
   sum / min / max (``recovery steps``, ``time to resync``).

@@ -8,7 +8,7 @@ which contain their simulator spans, without any caller coordination.
 
 Ids are monotonic per :class:`Tracer` (and therefore per process: the
 module-global tracer is what the instrumented layers emit into).  When a
-fork-pool child ships its spans back to the parent
+forked child ships its spans back to the parent
 (:func:`repro.obs.delta_since` / :func:`repro.obs.merge`), the parent
 re-assigns ids from its own sequence while preserving the parent-child
 links inside the shipped batch, so a merged trace never has colliding

@@ -1,19 +1,19 @@
 """The self-healing campaign runner.
 
-:class:`~repro.analysis.campaign.Campaign` is fast but brittle: one worker
-that hangs or dies takes the whole ``ProcessPoolExecutor`` sweep with it,
-and an interrupted sweep loses everything it had computed.
-:class:`ResilientRunner` executes the same grid with the same bit-identical
-determinism guarantee, but supervises every run individually:
+:class:`ResilientRunner` executes a :class:`~repro.analysis.campaign.Campaign`
+grid with the same bit-identical determinism guarantee as
+``Campaign.run``, but supervises every run individually:
 
-* **per-run timeouts** -- each run executes in its own forked process; a
-  run that exceeds ``run_timeout`` wall seconds is terminated;
-* **retry with backoff** -- crashed (non-zero exit, SIGKILL) and timed-out
-  runs are re-queued with exponential backoff, up to ``retries`` retries;
-  because every run is a pure function of ``(campaign, rng, key)``, a
-  retry recomputes exactly the same :class:`RunMetrics`;
+* **per-run timeouts** -- runs execute in long-lived forked children,
+  one per worker (:class:`CellSupervisor`); a run that exceeds
+  ``run_timeout`` wall seconds has its child terminated;
+* **retry with backoff** -- crashed (non-zero exit, SIGKILL), timed-out
+  and raising runs are re-queued with exponential backoff, up to
+  ``retries`` retries; because every run is a pure function of
+  ``(campaign, rng, key)``, a retry recomputes exactly the same
+  :class:`RunMetrics`;
 * **structured failure records** -- every failed attempt becomes a
-  :class:`RunFailure` in the outcome instead of a pool-wide exception;
+  :class:`RunFailure` in the outcome instead of a sweep-wide exception;
 * **checkpoint/resume** -- completed runs are flushed to a JSON
   checkpoint (schema ``repro-chaos-checkpoint/1``) after every run; a
   runner pointed at an existing checkpoint skips the completed keys, so a
@@ -25,33 +25,38 @@ Checkpoint file format::
 
     {
       "schema": "repro-chaos-checkpoint/1",
-      "fingerprint": "<sha256 of the grid spec and RNG identity>",
+      "fingerprint": "<sha256 of every grid cell's content address>",
       "completed": {
         "[[\"a\", \"b\"], 0]": {"steps": 41, "completed": true, ...}
       }
     }
 
 Keys are the JSON form of ``[input_sequence, seed]``; values are
-:class:`RunMetrics` fields.  The fingerprint binds a checkpoint to one
-exact grid + RNG identity; resuming with a different campaign is refused
-rather than silently mixed.
+:class:`RunMetrics` fields.  The fingerprint hashes the ordered
+``Campaign.run_key`` of every grid cell -- the content addresses the
+result store uses, covering protocols, channel and adversary factories,
+step budget and RNG identity -- so resuming with a different campaign is
+refused rather than silently mixed.
 
-:class:`CellSupervisor` applies the same watchdog to callers that run
-one cell at a time (fabric workers, service campaign requests): one
-long-lived supervised child serves cell after cell and is respawned
-after a failed cell.
+:class:`CellSupervisor` is the one place grid cells are forked.  Fabric
+workers and service campaign requests drive one directly, cell by cell;
+:func:`supervise_cells` drives several at once for ``ResilientRunner``
+and for ``Campaign(workers=N)``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import time
 from dataclasses import asdict, dataclass
+from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.analysis.campaign import Campaign, CampaignOutcome
@@ -116,6 +121,18 @@ class ResilientOutcome:
     abandoned: Tuple[RunKey, ...]
 
 
+class CellFailure(VerificationError):
+    """A supervised cell that timed out, died, or raised.
+
+    ``kind`` is ``"timeout"``, ``"crash"`` or ``"error"`` -- the
+    :class:`RunFailure` kind the runner records for the attempt.
+    """
+
+    def __init__(self, kind: str, message: str) -> None:
+        super().__init__(message)
+        self.kind = kind
+
+
 def _key_to_json(key: RunKey) -> str:
     input_sequence, seed = key
     return json.dumps([list(input_sequence), seed])
@@ -140,14 +157,6 @@ def _cell_reply(campaign: Campaign, rng: DeterministicRNG, key: RunKey):
         return ("ok", (metrics, obs.delta_since(cut)))
     except BaseException as error:  # reported, not raised: child exits clean
         return ("error", f"{type(error).__name__}: {error}")
-
-
-def _child_main(conn, campaign: Campaign, rng: DeterministicRNG, key: RunKey):
-    """Run one grid key in a forked child; report through the pipe."""
-    try:
-        conn.send(_cell_reply(campaign, rng, key))
-    finally:
-        conn.close()
 
 
 def _cell_child_main(conn, owner_end, campaign, rng) -> None:
@@ -178,13 +187,16 @@ def _cell_child_main(conn, owner_end, campaign, rng) -> None:
 class CellSupervisor:
     """Grid runs, one at a time, in one long-lived supervised child.
 
-    The child is forked lazily on the first :meth:`run` and then serves
-    cell after cell, exactly as a serial ``Campaign.run`` executes them
-    one after another in one interpreter; since ``_single_run`` is a pure
-    function of ``(rng, key)`` the metrics are bit-identical to an inline
-    run.  The parent enforces the same watchdog a per-run fork would: a
-    ``run_timeout`` wall budget, death detection, and a ``heartbeat``
-    callback roughly every 100ms.
+    The child is forked lazily on the first :meth:`submit` and then
+    serves cell after cell, exactly as a serial ``Campaign.run`` executes
+    them one after another in one interpreter; since ``_single_run`` is a
+    pure function of ``(rng, key)`` the metrics are bit-identical to an
+    inline run.  The parent enforces the same watchdog a per-run fork
+    would: a ``run_timeout`` wall budget and death detection.
+
+    :meth:`submit` hands the child a key and :meth:`poll` collects the
+    result without blocking, so one caller can drive several supervisors
+    (:func:`supervise_cells`); :meth:`run` is the blocking one-cell form.
 
     Any failed cell -- timeout, death, or an error raised inside the
     run -- retires the child, so the next cell gets a fresh fork and a
@@ -192,7 +204,8 @@ class CellSupervisor:
     (or leaving the ``with`` block) stops the child.
 
     Falls back to plain in-process runs where ``fork`` is unavailable
-    (no timeout enforcement, same bit-identical metrics).
+    (no timeout enforcement, same bit-identical metrics, same
+    ``"error"`` failure for a raising run).
     """
 
     def __init__(
@@ -208,6 +221,8 @@ class CellSupervisor:
         self.run_timeout = run_timeout
         self._process = None
         self._conn = None
+        # (key, start time) of the submitted cell until poll() settles it.
+        self._cell: Optional[Tuple[RunKey, float]] = None
 
     def __enter__(self) -> "CellSupervisor":
         return self
@@ -238,60 +253,108 @@ class CellSupervisor:
         process.join()
         return process.exitcode
 
-    def _died(self, key: RunKey) -> VerificationError:
-        return VerificationError(
-            f"run {key!r} worker died with exit code {self._retire()}"
+    def _abandon(self) -> None:
+        """Drop the submitted cell; a child stopped mid-run is retired."""
+        self._cell = None
+        if self._process is not None:
+            self._retire()
+
+    def _died(self, key: RunKey) -> CellFailure:
+        return CellFailure(
+            "crash", f"run {key!r} worker died with exit code {self._retire()}"
         )
 
-    def run(self, key: RunKey, heartbeat=None) -> RunMetrics:
-        """``campaign._single_run(rng, *key)`` under supervision.
-
-        Raises :class:`VerificationError` on timeout, crash, or an error
-        raised inside the run; the caller owns the retry policy.
-        """
+    def submit(self, key: RunKey) -> None:
+        """Start ``campaign._single_run(rng, *key)``; :meth:`poll` collects it."""
+        self._cell = (key, time.monotonic())
         if "fork" not in multiprocessing.get_all_start_methods():
-            return self.campaign._single_run(self.rng, key[0], key[1])
+            return  # poll() runs the cell in-process
         if self._process is None:
             self._spawn()
-        conn = self._conn
-        started = time.monotonic()
         try:
+            self._conn.send(key)
+        except OSError:
+            pass  # the idle child is gone: poll() reports the crash
+
+    def poll(self) -> Optional[RunMetrics]:
+        """The submitted cell's metrics, or None while it still runs.
+
+        Raises :class:`CellFailure` on timeout, crash, or an error raised
+        inside the run; the caller owns the retry policy.
+        """
+        if self._cell is None:
+            raise VerificationError("poll() needs a submitted cell")
+        key, started = self._cell
+        if self._conn is None:
+            self._cell = None
             try:
-                conn.send(key)
-            except OSError:  # the idle child is gone
-                raise self._died(key) from None
-            while not conn.poll(0.1):
-                if heartbeat is not None:
-                    heartbeat()
-                if time.monotonic() - started > self.run_timeout:
-                    self._retire()
-                    raise VerificationError(
-                        f"run {key!r} exceeded {self.run_timeout}s"
-                    )
-                # A child that replied and then exited between the poll
-                # and this check finished its run: take the reply.
-                if not self._process.is_alive() and not conn.poll(0):
-                    raise self._died(key)
-            try:
-                status, payload = conn.recv()
-            except EOFError:
-                # Pipe closed without a report: the child died mid-run.
-                raise self._died(key) from None
+                return self.campaign._single_run(self.rng, key[0], key[1])
+            except Exception as error:
+                raise CellFailure(
+                    "error", f"run {key!r} failed: {type(error).__name__}: {error}"
+                ) from error
+        try:
+            reply = self._reply(key, started)
         except BaseException:
-            # Also a raising heartbeat or an interrupt: the child is
-            # mid-run, so it cannot serve the next cell.
-            if self._process is not None:
-                self._retire()
+            self._abandon()
             raise
+        if reply is None:
+            return None
+        self._cell = None
+        status, payload = reply
         if status != "ok":
             self._retire()
-            raise VerificationError(f"run {key!r} failed: {payload}")
+            raise CellFailure("error", f"run {key!r} failed: {payload}")
         metrics, delta = payload
         obs.merge(delta)
         return metrics
 
+    def _reply(self, key: RunKey, started: float):
+        """The child's reply, or None while it runs; raises on timeout or death."""
+        conn = self._conn
+        if not conn.poll(0):
+            if time.monotonic() - started > self.run_timeout:
+                raise CellFailure(
+                    "timeout", f"run {key!r} exceeded {self.run_timeout}s"
+                )
+            if self._process.is_alive():
+                return None
+            # A child that replied and then exited between the poll and
+            # the liveness check finished its run: take the reply.
+            if not conn.poll(0):
+                raise self._died(key)
+        try:
+            return conn.recv()
+        except (EOFError, OSError):
+            # Pipe closed without a report: the child died mid-run.
+            raise self._died(key) from None
+
+    def run(self, key: RunKey, heartbeat=None) -> RunMetrics:
+        """``campaign._single_run(rng, *key)`` under supervision.
+
+        ``heartbeat`` (when given) is called roughly every 100ms while
+        the child runs.  Raises :class:`CellFailure` (a
+        :class:`VerificationError`) on timeout, crash, or an error raised
+        inside the run; the caller owns the retry policy.
+        """
+        self.submit(key)
+        try:
+            while True:
+                metrics = self.poll()
+                if metrics is not None:
+                    return metrics
+                if not wait([self._conn], 0.1) and heartbeat is not None:
+                    heartbeat()
+        except BaseException:
+            # Also a raising heartbeat or an interrupt: the child is
+            # mid-run, so it cannot serve the next cell.
+            self._abandon()
+            raise
+
     def close(self) -> None:
         """Stop the child, if one is running."""
+        if self._cell is not None:
+            self._abandon()  # mid-run: it cannot take the stop message
         if self._process is None:
             return
         try:
@@ -330,15 +393,75 @@ def supervised_single_run(
         return supervisor.run(key, heartbeat)
 
 
-@dataclass
-class _Attempt:
-    """Bookkeeping for one in-flight child process."""
+def supervise_cells(
+    campaign: Campaign,
+    rng: DeterministicRNG,
+    keys: Sequence[RunKey],
+    workers: int,
+    on_done: Callable[[RunKey, RunMetrics], None],
+    on_failure: Callable[[RunKey, int, CellFailure, float], Optional[float]],
+    run_timeout: float = math.inf,
+) -> None:
+    """Run ``keys`` over ``workers`` :class:`CellSupervisor` children.
 
-    key: RunKey
-    attempt: int
-    process: object
-    conn: object
-    started: float
+    Each completed cell goes to ``on_done(key, metrics)`` as it arrives
+    (completion order, not grid order).  Each failed attempt goes to
+    ``on_failure(key, attempt, failure, elapsed_seconds)``, which returns
+    the delay in seconds before the key is retried, or None to give it
+    up; it may also raise to stop the sweep.  The loop blocks on the busy
+    children's pipes, waking early only for a ``run_timeout`` deadline
+    or a retry coming due.  Every child is stopped on return.
+    """
+    pending: List[Tuple[RunKey, int, float]] = [(key, 1, 0.0) for key in keys]
+    idle = [CellSupervisor(campaign, rng, run_timeout) for _ in range(workers)]
+    busy: Dict[CellSupervisor, Tuple[RunKey, int, float]] = {}
+    try:
+        while pending or busy:
+            now = time.monotonic()
+            due = itertools.islice(
+                (entry for entry in pending if entry[2] <= now), len(idle)
+            )
+            for entry in list(due):
+                pending.remove(entry)
+                key, attempt, _ = entry
+                supervisor = idle.pop()
+                supervisor.submit(key)
+                busy[supervisor] = (key, attempt, time.monotonic())
+            if obs.enabled():
+                obs.gauge_set("resilience.active_children", len(busy))
+            wake_at = min(
+                itertools.chain(
+                    (started + run_timeout for _, _, started in busy.values()),
+                    (entry[2] for entry in pending if idle),
+                ),
+                default=math.inf,
+            )
+            timeout = max(0.0, wake_at - time.monotonic())
+            conns = [supervisor._conn for supervisor in busy]
+            if not conns:
+                time.sleep(timeout)  # only backoff is left
+            elif None not in conns:  # in-process cells settle in poll()
+                wait(conns, None if timeout == math.inf else timeout)
+            for supervisor, (key, attempt, started) in list(busy.items()):
+                try:
+                    metrics = supervisor.poll()
+                except CellFailure as failure:
+                    delay = on_failure(
+                        key, attempt, failure, time.monotonic() - started
+                    )
+                    if delay is not None:
+                        pending.append(
+                            (key, attempt + 1, time.monotonic() + delay)
+                        )
+                else:
+                    if metrics is None:
+                        continue
+                    on_done(key, metrics)
+                del busy[supervisor]
+                idle.append(supervisor)
+    finally:
+        for supervisor in [*idle, *busy]:
+            supervisor.close()
 
 
 class ResilientRunner:
@@ -354,8 +477,8 @@ class ResilientRunner:
             ``n`` waits ``backoff * 2**(n-1)`` before re-dispatch.
         checkpoint_path: JSON checkpoint location; None disables
             checkpointing.
-        workers: concurrent child processes (defaults to the campaign's
-            ``workers`` attribute).
+        workers: concurrent supervised children (defaults to the
+            campaign's ``workers`` attribute); must be >= 1.
         stabilization: mark the campaign as a corrupted-start workload
             (protocols wrapped with
             :class:`~repro.resilience.stabilize.CorruptedStartSender` /
@@ -383,6 +506,9 @@ class ResilientRunner:
             raise VerificationError("retries must be non-negative")
         if backoff < 0:
             raise VerificationError("backoff must be non-negative")
+        workers = workers if workers is not None else campaign.workers
+        if workers < 1:
+            raise VerificationError("workers must be >= 1")
         self.campaign = campaign
         self.run_timeout = run_timeout
         self.retries = retries
@@ -390,24 +516,14 @@ class ResilientRunner:
         self.checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else None
         )
-        self.workers = max(workers if workers is not None else campaign.workers, 1)
+        self.workers = workers
         self.stabilization = stabilization
 
     # -- checkpointing -------------------------------------------------
 
     def _fingerprint(self, rng: DeterministicRNG, keys: List[RunKey]) -> str:
-        spec = repr(
-            (
-                [list(k[0]) for k in keys],
-                [k[1] for k in keys],
-                self.campaign.max_steps,
-                type(self.campaign.sender).__name__,
-                type(self.campaign.receiver).__name__,
-                rng.seed,
-                rng.path,
-            )
-        )
-        return hashlib.sha256(spec.encode()).hexdigest()
+        addresses = [self.campaign.run_key(rng, key) for key in keys]
+        return hashlib.sha256(json.dumps(addresses).encode()).hexdigest()
 
     def _load_checkpoint(self, fingerprint: str) -> Dict[RunKey, RunMetrics]:
         if self.checkpoint_path is None or not self.checkpoint_path.exists():
@@ -421,7 +537,7 @@ class ResilientRunner:
         if data.get("fingerprint") != fingerprint:
             raise VerificationError(
                 f"checkpoint {self.checkpoint_path} belongs to a different "
-                "campaign grid or RNG; refusing to resume from it"
+                "campaign; refusing to resume from it"
             )
         return {
             _key_from_json(key_text): RunMetrics(**fields)
@@ -465,11 +581,7 @@ class ResilientRunner:
             raise VerificationError("seeds must be >= 1")
         if not self.campaign.inputs:
             raise VerificationError("campaign needs at least one input")
-        keys: List[RunKey] = [
-            (tuple(input_sequence), seed)
-            for input_sequence in self.campaign.inputs
-            for seed in range(self.campaign.seeds)
-        ]
+        keys = self.campaign.grid_keys()
         fingerprint = self._fingerprint(rng, keys)
         completed = self._load_checkpoint(fingerprint)
         grid = set(keys)
@@ -482,31 +594,42 @@ class ResilientRunner:
         abandoned: List[RunKey] = []
         retried: set = set()
 
-        pending: List[Tuple[RunKey, int, float]] = [
-            (key, 1, 0.0) for key in keys if key not in completed
-        ]
+        def done(key: RunKey, metrics: RunMetrics) -> None:
+            completed[key] = metrics
+            self._flush_checkpoint(fingerprint, completed)
+
+        def failed(
+            key: RunKey, attempt: int, failure: CellFailure, elapsed: float
+        ) -> Optional[float]:
+            failures.append(
+                RunFailure(
+                    input_sequence=key[0],
+                    seed=key[1],
+                    attempt=attempt,
+                    kind=failure.kind,
+                    message=str(failure),
+                    elapsed_seconds=elapsed,
+                )
+            )
+            obs.add(f"resilience.failures.{failure.kind}")
+            if attempt > self.retries:
+                abandoned.append(key)
+                obs.add("resilience.abandoned")
+                return None
+            retried.add(key)
+            obs.add("resilience.retries")
+            return self.backoff * (2 ** (attempt - 1))
+
         try:
-            if pending:
-                if "fork" in multiprocessing.get_all_start_methods():
-                    self._run_supervised(
-                        rng,
-                        fingerprint,
-                        pending,
-                        completed,
-                        failures,
-                        abandoned,
-                        retried,
-                    )
-                else:  # no fork: in-process, no timeout enforcement
-                    self._run_inline(
-                        rng,
-                        fingerprint,
-                        pending,
-                        completed,
-                        failures,
-                        abandoned,
-                        retried,
-                    )
+            supervise_cells(
+                self.campaign,
+                rng,
+                [key for key in keys if key not in completed],
+                self.workers,
+                done,
+                failed,
+                self.run_timeout,
+            )
         finally:
             self._flush_checkpoint(fingerprint, completed)
 
@@ -556,148 +679,3 @@ class ResilientRunner:
             resumed_runs=resumed,
             abandoned=tuple(abandoned),
         )
-
-    def _requeue(
-        self,
-        key: RunKey,
-        attempt: int,
-        kind: str,
-        message: str,
-        elapsed: float,
-        pending: List[Tuple[RunKey, int, float]],
-        failures: List[RunFailure],
-        abandoned: List[RunKey],
-        retried: set,
-    ) -> None:
-        failures.append(
-            RunFailure(
-                input_sequence=key[0],
-                seed=key[1],
-                attempt=attempt,
-                kind=kind,
-                message=message,
-                elapsed_seconds=elapsed,
-            )
-        )
-        obs.add(f"resilience.failures.{kind}")
-        if attempt > self.retries:
-            abandoned.append(key)
-            obs.add("resilience.abandoned")
-            return
-        retried.add(key)
-        obs.add("resilience.retries")
-        delay = self.backoff * (2 ** (attempt - 1))
-        pending.append((key, attempt + 1, time.monotonic() + delay))
-
-    def _run_supervised(
-        self, rng, fingerprint, pending, completed, failures, abandoned, retried
-    ) -> None:
-        context = multiprocessing.get_context("fork")
-        active: List[_Attempt] = []
-        try:
-            while pending or active:
-                now = time.monotonic()
-                # Dispatch eligible work into free slots.
-                for index in range(len(pending) - 1, -1, -1):
-                    if len(active) >= self.workers:
-                        break
-                    key, attempt, not_before = pending[index]
-                    if not_before > now:
-                        continue
-                    pending.pop(index)
-                    parent_conn, child_conn = context.Pipe(duplex=False)
-                    process = context.Process(
-                        target=_child_main,
-                        args=(child_conn, self.campaign, rng, key),
-                        daemon=True,
-                    )
-                    process.start()
-                    child_conn.close()
-                    active.append(
-                        _Attempt(key, attempt, process, parent_conn, now)
-                    )
-                if obs.enabled():
-                    obs.gauge_set("resilience.active_children", len(active))
-                # Reap finished, crashed, and overdue attempts.
-                still_active: List[_Attempt] = []
-                for item in active:
-                    elapsed = time.monotonic() - item.started
-                    ready = item.conn.poll()
-                    alive = ready or item.process.is_alive()
-                    if not alive:
-                        # A child that replied and then exited between
-                        # the poll and the liveness check finished its
-                        # run: poll once more before declaring it dead.
-                        ready = item.conn.poll()
-                    if ready:
-                        try:
-                            status, payload = item.conn.recv()
-                        except EOFError:
-                            # Pipe closed without a report: the child died
-                            # (os._exit, SIGKILL) mid-run.
-                            item.process.join()
-                            item.conn.close()
-                            self._requeue(
-                                item.key, item.attempt, "crash",
-                                "worker died with exit code "
-                                f"{item.process.exitcode}", elapsed,
-                                pending, failures, abandoned, retried,
-                            )
-                            continue
-                        item.process.join()
-                        item.conn.close()
-                        if status == "ok":
-                            metrics, delta = payload
-                            obs.merge(delta)
-                            completed[item.key] = metrics
-                            self._flush_checkpoint(fingerprint, completed)
-                        else:
-                            self._requeue(
-                                item.key, item.attempt, "error", payload,
-                                elapsed, pending, failures, abandoned, retried,
-                            )
-                    elif elapsed > self.run_timeout:
-                        item.process.terminate()
-                        item.process.join()
-                        item.conn.close()
-                        self._requeue(
-                            item.key, item.attempt, "timeout",
-                            f"run exceeded {self.run_timeout}s", elapsed,
-                            pending, failures, abandoned, retried,
-                        )
-                    elif not alive:
-                        exit_code = item.process.exitcode
-                        item.conn.close()
-                        self._requeue(
-                            item.key, item.attempt, "crash",
-                            f"worker died with exit code {exit_code}", elapsed,
-                            pending, failures, abandoned, retried,
-                        )
-                    else:
-                        still_active.append(item)
-                active = still_active
-                if active or pending:
-                    time.sleep(0.005)
-        except BaseException:
-            for item in active:
-                if item.process.is_alive():
-                    item.process.terminate()
-                item.process.join()
-            raise
-
-    def _run_inline(
-        self, rng, fingerprint, pending, completed, failures, abandoned, retried
-    ) -> None:
-        """Fallback without ``fork``: serial, crashes caught, no timeouts."""
-        while pending:
-            key, attempt, _ = pending.pop(0)
-            start = time.monotonic()
-            try:
-                completed[key] = self.campaign._single_run(rng, key[0], key[1])
-                self._flush_checkpoint(fingerprint, completed)
-            except Exception as error:
-                self._requeue(
-                    key, attempt, "error", f"{type(error).__name__}: {error}",
-                    time.monotonic() - start,
-                    pending, failures, abandoned, retried,
-                )

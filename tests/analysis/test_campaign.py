@@ -1,5 +1,7 @@
 """Tests for the campaign runner."""
 
+import multiprocessing
+
 import pytest
 
 from repro.adversaries import AgingFairAdversary, EagerAdversary, RandomAdversary
@@ -121,6 +123,34 @@ class TestParallelDeterminism:
     def test_workers_beyond_grid_size_are_harmless(self):
         outcome = norepeat_campaign(workers=64).run(DeterministicRNG(0))
         assert outcome.summary.runs == len(repetition_free_family("ab")) * 2
+
+
+class _FailOnBA(EagerAdversary):
+    def choose(self, system, trace, enabled):
+        if system.input_sequence == ("b", "a"):
+            raise RuntimeError("injected failure")
+        return super().choose(system, trace, enabled)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+class TestParallelFailure:
+    def test_failing_cell_is_named_with_its_error(self, monkeypatch):
+        from repro.analysis import hostinfo
+
+        monkeypatch.setattr(hostinfo, "available_cpu_count", lambda: 8)
+        campaign = norepeat_campaign(
+            adversary_factory=lambda rng: _FailOnBA(), workers=2
+        )
+        assert campaign._effective_workers(len(campaign.grid_keys())) == 2
+        with pytest.raises(
+            VerificationError,
+            match=r"run \(\('b', 'a'\), [01]\) failed: "
+            "RuntimeError: injected failure",
+        ):
+            campaign.run(DeterministicRNG(0))
 
 
 class TestParallelFallback:

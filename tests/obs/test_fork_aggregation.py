@@ -1,11 +1,12 @@
 """Fork-safe aggregation: parallel sweeps leave the same registry as serial.
 
-The tentpole contract of :mod:`repro.obs`: children of the campaign
-fork-pool and of the resilient runner record spans and metrics locally,
-ship a delta back beside their results, and the parent's merged registry
-is bit-identical to what a serial execution would have accumulated.
+The tentpole contract of :mod:`repro.obs`: supervised cell children
+(behind ``Campaign(workers=N)`` and the resilient runner) record spans
+and metrics locally, ship a delta back beside their results, and the
+parent's merged registry is bit-identical to what a serial execution
+would have accumulated.
 
-The campaign pool normally refuses to fork on single-core hosts (the
+A parallel campaign normally refuses to fork on single-core hosts (the
 BENCH_PR1 regression guard); these tests bypass that gate so the child
 -> delta -> merge path is genuinely exercised wherever ``fork`` exists.
 """
@@ -22,6 +23,8 @@ from repro.analysis.campaign import Campaign
 from repro.analysis.perfreport import build_f5_campaign
 from repro.kernel.rng import DeterministicRNG
 
+FLEET_SHAPE = ("resilience.cell_children", "resilience.active_children")
+
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="fork start method unavailable",
@@ -30,7 +33,7 @@ needs_fork = pytest.mark.skipif(
 
 @pytest.fixture
 def forced_pool(monkeypatch):
-    """Make the campaign pool fork whenever workers > 1 (even on 1 CPU)."""
+    """Make the campaign fork whenever workers > 1 (even on 1 CPU)."""
     monkeypatch.setattr(
         Campaign,
         "_effective_workers",
@@ -55,12 +58,12 @@ def test_parallel_campaign_metrics_bit_identical_to_serial(forced_pool):
     )
 
     assert parallel_outcome.metrics == serial_outcome.metrics
-    # The pool gauges describe the fleet shape, so they only exist on the
-    # parallel path; everything the *workload* recorded must match bit-for-bit.
+    # The fleet-shape metrics only exist on the parallel path; everything
+    # the *workload* recorded must match bit-for-bit.
     workload_metrics = {
         name: state
         for name, state in parallel_metrics.items()
-        if not name.startswith("campaign.pool.")
+        if name not in FLEET_SHAPE
     }
     assert workload_metrics == serial_metrics, (
         "fork-pool merge must leave the registry bit-identical to serial"
@@ -76,13 +79,11 @@ def test_parallel_campaign_metrics_bit_identical_to_serial(forced_pool):
 
 
 @needs_fork
-def test_campaign_pool_gauges_record_fleet_shape(forced_pool):
-    campaign = build_f5_campaign(length=8, seeds=2, workers=4)
-    with obs.scoped() as (_, registry):
-        campaign.run(DeterministicRNG(0, "obs-gauge-test"))
-        exported = registry.to_dict()
-    assert exported["campaign.pool.workers"]["high_water"] == 4
-    assert exported["campaign.pool.queue_depth"]["high_water"] >= 1
+def test_parallel_campaign_forks_one_child_per_worker(forced_pool):
+    serial_outcome, _, _ = _run_campaign(workers=1)
+    parallel_outcome, exported, _ = _run_campaign(workers=4)
+    assert 1 <= exported["resilience.cell_children"]["value"] <= 4
+    assert parallel_outcome.metrics == serial_outcome.metrics
 
 
 @needs_fork

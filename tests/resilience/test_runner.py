@@ -1,8 +1,8 @@
 """Tests for the self-healing campaign runner.
 
 The crash/timeout tests use marker files to make the *first* attempt of a
-run misbehave and every retry succeed: the runner forks a child per run,
-so a marker created by a doomed child is visible to its retry.
+run misbehave and every retry succeed: a marker created on disk by a
+doomed child is visible to the fresh child that runs its retry.
 """
 
 import json
@@ -123,6 +123,22 @@ class TestCheckpointResume:
         with pytest.raises(VerificationError):
             runner.run(DeterministicRNG(5, "resume"))
 
+    def test_checkpoint_from_other_adversary_refused(self, tmp_path):
+        checkpoint = tmp_path / "sweep.json"
+        ResilientRunner(small_campaign(), checkpoint_path=checkpoint).run(
+            DeterministicRNG(5, "resume")
+        )
+        # Same grid, budget, protocol types and RNG; only the adversary
+        # factory differs, so the stored metrics are not this campaign's.
+        other = small_campaign(
+            adversary_factory=lambda rng: AgingFairAdversary(
+                RandomAdversary(rng, deliver_weight=0.2), patience=64
+            )
+        )
+        runner = ResilientRunner(other, checkpoint_path=checkpoint)
+        with pytest.raises(VerificationError, match="different campaign"):
+            runner.run(DeterministicRNG(5, "resume"))
+
     def test_unsupported_schema_refused(self, tmp_path):
         checkpoint = tmp_path / "sweep.json"
         checkpoint.write_text(json.dumps({"schema": "something-else/1"}))
@@ -226,6 +242,8 @@ class TestValidation:
             ResilientRunner(campaign, retries=-1)
         with pytest.raises(VerificationError):
             ResilientRunner(campaign, backoff=-0.5)
+        with pytest.raises(VerificationError):
+            ResilientRunner(campaign, workers=0)
 
 
 class TestSupervisedSingleRun:
@@ -341,6 +359,45 @@ needs_fork = pytest.mark.skipif(
 )
 
 
+class TestNoForkFallback:
+    """Without ``fork`` cells run in-process and still fail typed."""
+
+    @pytest.fixture(autouse=True)
+    def no_fork(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+
+    def _campaign(self, tmp_path):
+        return small_campaign(
+            adversary_factory=lambda rng: _SabotagedAdversary(
+                str(tmp_path / "marker"), "error"
+            ),
+            inputs=[("a", "b")],
+            seeds=1,
+        )
+
+    def test_supervisor_raises_the_error_failure(self, tmp_path):
+        with CellSupervisor(self._campaign(tmp_path), DeterministicRNG(0)) as sup:
+            with pytest.raises(
+                VerificationError,
+                match=r"run \(\('a', 'b'\), 0\) failed: "
+                "RuntimeError: injected failure",
+            ):
+                sup.run((("a", "b"), 0))
+            assert sup._process is None  # nothing was forked
+
+    def test_runner_records_the_error_and_retries(self, tmp_path):
+        result = ResilientRunner(self._campaign(tmp_path), backoff=0.01).run(
+            DeterministicRNG(0, "heal")
+        )
+        assert [f.kind for f in result.run_failures] == ["error"]
+        assert "injected failure" in result.run_failures[0].message
+        assert result.retried_runs == 1
+        assert result.abandoned == ()
+        assert result.outcome.summary.runs == 1
+
+
 @needs_fork
 class TestCellSupervisor:
     """One long-lived supervised child serves cell after cell."""
@@ -449,16 +506,29 @@ class TestDeadChildRace:
         monkeypatch.setattr(BaseProcess, "is_alive", exited_is_alive)
         return missed
 
-    def test_resilient_runner_keeps_the_reply(self, first_poll_misses):
-        campaign = small_campaign(inputs=[("a", "b")], seeds=1)
-        plain = campaign.run(DeterministicRNG(4, "race"))
+    def test_resilient_runner_keeps_the_reply(self, tmp_path, first_poll_misses):
+        # The error reply is the one after which the child exits: taken,
+        # it is an "error" failure; missed, it would read as a crash.
+        campaign = small_campaign(
+            adversary_factory=lambda rng: _SabotagedAdversary(
+                str(tmp_path / "marker"), "error"
+            ),
+            inputs=[("a", "b")],
+            seeds=1,
+        )
+        clean = small_campaign(
+            adversary_factory=lambda rng: EagerAdversary(),
+            inputs=[("a", "b")],
+            seeds=1,
+        ).run(DeterministicRNG(4, "race"))
         result = ResilientRunner(campaign, backoff=0.01).run(
             DeterministicRNG(4, "race")
         )
         assert first_poll_misses == [True]
-        assert result.run_failures == ()
-        assert result.retried_runs == 0
-        assert result.outcome.metrics == plain.metrics
+        assert [f.kind for f in result.run_failures] == ["error"]
+        assert "injected failure" in result.run_failures[0].message
+        assert result.retried_runs == 1
+        assert result.outcome.metrics == clean.metrics
 
     def test_supervisor_keeps_the_reply(self, tmp_path, first_poll_misses):
         # The error reply is the one after which the child exits.
